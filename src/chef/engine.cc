@@ -27,6 +27,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Round mode: maximum states claimed + solved per round. Independent of
+/// the thread count, so round-mode results are invariant in it.
+constexpr size_t kRoundWidth = 8;
+
 /// The session's solver shares the engine's telemetry context unless the
 /// caller wired a distinct one into solver_options directly.
 solver::Solver::Options
@@ -120,9 +124,10 @@ class RoundPool
 
 }  // namespace
 
-/// Per-exploration-thread context: own solver (with its own persistent SAT
-/// session) and own runtime used in recording mode, sharing the engine's
-/// tree (untouched while recording) and shared solver cache (if any).
+/// Per-exploration-thread context: own runtime used in recording mode,
+/// which never touches the engine's tree, and own solver for that
+/// runtime's mid-run queries (with its own persistent SAT session; the
+/// batch-shared solver cache, if any, is shared).
 struct Engine::WorkerContext {
     explicit WorkerContext(Engine& engine)
         : solver(SolverOptionsFor(engine.options_)),
@@ -168,8 +173,6 @@ Engine::Engine(Options options)
         m_run_latency_ = registry.histogram("engine.run_seconds");
         m_par_in_flight_ = registry.gauge("engine.parallel.states_in_flight");
         m_par_claims_ = registry.counter("engine.parallel.claims");
-        m_par_contention_ =
-            registry.counter("engine.parallel.claim_contention");
         m_par_rounds_ = registry.counter("engine.parallel.rounds");
         m_par_barrier_wait_ =
             registry.histogram("engine.parallel.barrier_wait_seconds");
@@ -183,10 +186,9 @@ Engine::Engine(Options options)
             strategy_->OnStateAdded(state);
             // Fork attribution: state ids are monotone, so the
             // high-water mark charges each registered state exactly
-            // once (ReleaseClaim re-announces with an old id). The
-            // hook runs under the tree lock; in round mode all
-            // registrations happen on the serial commit path, so the
-            // charge order is thread-count-invariant.
+            // once (ReleaseClaim re-announces with an old id). In round
+            // mode all registrations happen on the serial commit path,
+            // so the charge order is thread-count-invariant.
             if (options_.obs.attribution != nullptr &&
                 state.id > attr_last_fork_id_) {
                 attr_last_fork_id_ = state.id;
@@ -240,9 +242,6 @@ Engine::Explore(const RunFn& run)
 {
     if (options_.exploration_threads <= 1) {
         return ExploreSerial(run);
-    }
-    if (options_.free_running) {
-        return ExploreFreeRunning(run);
     }
     return ExploreRounds(run);
 }
@@ -366,16 +365,8 @@ Engine::ExploreSerial(const RunFn& run)
                 stopped = true;
                 break;
             }
-            // Claim through the tree even though there is no competing
-            // worker: every strategy call site then holds the tree lock
-            // first, the one lock order the parallel modes rely on
-            // (strategy selection may re-enter the tree to read state
-            // attributes).
-            lowlevel::AlternateState state;
-            if (!tree_.ClaimState(
-                    [this] { return strategy_->ClaimState(); }, &state)) {
-                break;
-            }
+            const lowlevel::AlternateState state =
+                tree_.ClaimState(strategy_->ClaimState());
             frontier_inspector_.RecordPick(
                 StrategyKindName(options_.strategy), state.static_hlpc,
                 state.depth);
@@ -450,7 +441,7 @@ Engine::LastTraceLocation() const
 bool
 Engine::CommitRun(const RoundItem& item, double t_now,
                   std::vector<TestCase>* test_cases,
-                  solver::Solver* retry_solver, solver::Assignment* retry)
+                  solver::Assignment* retry)
 {
     tracker_.BeginRun();
     const lowlevel::RunStats replay = runtime_.CommitRecordedRun(item.log);
@@ -468,7 +459,7 @@ Engine::CommitRun(const RoundItem& item, double t_now,
         ++stats_.assume_retries;
         solver::Assignment model;
         const obs::ScopedLocation solve_location(LastTraceLocation());
-        if (retry_solver->Solve(runtime_.current_path_condition(), &model) ==
+        if (solver_.Solve(runtime_.current_path_condition(), &model) ==
             solver::QueryResult::kSat) {
             *retry = std::move(model);
             return true;
@@ -520,7 +511,6 @@ Engine::ExploreRounds(const RunFn& run)
     };
 
     const uint32_t threads = options_.exploration_threads;
-    const uint32_t width = std::max<uint32_t>(1, options_.round_width);
     stats_.threads_used = threads;
 
     std::vector<std::unique_ptr<WorkerContext>> workers;
@@ -559,24 +549,18 @@ Engine::ExploreRounds(const RunFn& run)
         {
             CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
                           "engine");
-            while (round.size() < width &&
+            while (round.size() < kRoundWidth &&
                    stats_.ll_paths + round.size() < options_.max_runs &&
                    elapsed() < options_.max_seconds) {
                 if (stop_requested()) {
                     stopped = true;
                     break;
                 }
-                lowlevel::AlternateState state;
-                const bool claimed = tree_.ClaimState(
-                    [this] {
-                        return strategy_->empty()
-                                   ? lowlevel::StateId(0)
-                                   : strategy_->ClaimState();
-                    },
-                    &state);
-                if (!claimed) {
+                if (strategy_->empty()) {
                     break;  // Nothing pending.
                 }
+                lowlevel::AlternateState state =
+                    tree_.ClaimState(strategy_->ClaimState());
                 ++stats_.claims;
                 if (m_par_claims_ != nullptr) {
                     m_par_claims_->Add();
@@ -683,7 +667,7 @@ Engine::ExploreRounds(const RunFn& run)
                 continue;
             }
             solver::Assignment retry;
-            if (CommitRun(item, elapsed(), &test_cases, &solver_, &retry)) {
+            if (CommitRun(item, elapsed(), &test_cases, &retry)) {
                 carryover.push_back(std::move(retry));
             }
         }
@@ -701,201 +685,6 @@ Engine::ExploreRounds(const RunFn& run)
             break;
         }
     }
-    stats_.stopped = stopped;
-    FinalizeStats(elapsed(), workers);
-    return test_cases;
-}
-
-std::vector<TestCase>
-Engine::ExploreFreeRunning(const RunFn& run)
-{
-    const auto start = Clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    auto stop_requested = [this] {
-        return options_.stop_requested && options_.stop_requested();
-    };
-
-    const uint32_t threads = options_.exploration_threads;
-    stats_.threads_used = threads;
-    std::vector<std::unique_ptr<WorkerContext>> workers;
-    workers.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        workers.push_back(std::make_unique<WorkerContext>(*this));
-    }
-
-    std::vector<TestCase> test_cases;
-    // Coordination: commits, stats, the tracker and the commit runtime are
-    // all guarded by coord; busy counts workers holding unfinished work so
-    // exhaustion ("strategy empty and nobody running") is detected exactly.
-    std::mutex coord;
-    std::condition_variable cv;
-    size_t busy = 0;
-    bool initial_dispatched = false;
-    bool stopped = false;  // Guarded by coord.
-    std::atomic<bool> wind_down{false};
-
-    auto worker_fn = [&](size_t worker_index) {
-        WorkerContext& context = *workers[worker_index];
-        for (;;) {
-            solver::Assignment assignment;
-            bool from_pending = false;
-            lowlevel::AlternateState claimed;
-            {
-                std::unique_lock<std::mutex> lock(coord);
-                for (;;) {
-                    if (wind_down.load(std::memory_order_relaxed)) {
-                        return;
-                    }
-                    if (stop_requested()) {
-                        stopped = true;
-                        wind_down.store(true, std::memory_order_relaxed);
-                        cv.notify_all();
-                        return;
-                    }
-                    if (stats_.ll_paths >= options_.max_runs ||
-                        elapsed() >= options_.max_seconds) {
-                        wind_down.store(true, std::memory_order_relaxed);
-                        cv.notify_all();
-                        return;
-                    }
-                    if (!initial_dispatched) {
-                        initial_dispatched = true;
-                        ++busy;
-                        break;
-                    }
-                    if (tree_.ClaimState(
-                            [this] {
-                                return strategy_->empty()
-                                           ? lowlevel::StateId(0)
-                                           : strategy_->ClaimState();
-                            },
-                            &claimed)) {
-                        ++stats_.claims;
-                        if (m_par_claims_ != nullptr) {
-                            m_par_claims_->Add();
-                        }
-                        frontier_inspector_.RecordPick(
-                            StrategyKindName(options_.strategy),
-                            claimed.static_hlpc, claimed.depth);
-                        from_pending = true;
-                        ++busy;
-                        break;
-                    }
-                    if (busy == 0) {
-                        // Nothing pending and nobody running: exhausted.
-                        cv.notify_all();
-                        return;
-                    }
-                    cv.wait_for(lock, std::chrono::milliseconds(20));
-                }
-            }
-
-            // Work acquired (busy held until the chain below finishes).
-            bool chain = true;
-            while (chain) {
-                chain = false;
-                if (from_pending) {
-                    // Solve on this worker's own solver, in parallel with
-                    // other workers' solves and runs.
-                    solver::Assignment model;
-                    solver::QueryResult result;
-                    {
-                        const obs::ScopedLocation solve_location(
-                            claimed.static_hlpc);
-                        result = context.solver.Solve(
-                            claimed.path_condition, &model);
-                    }
-                    if (result != solver::QueryResult::kSat) {
-                        std::lock_guard<std::mutex> lock(coord);
-                        tree_.MarkInfeasible(claimed);
-                        if (result == solver::QueryResult::kUnsat) {
-                            ++stats_.infeasible_states;
-                            if (m_infeasible_ != nullptr) {
-                                m_infeasible_->Add();
-                            }
-                        } else {
-                            ++stats_.solver_failures;
-                        }
-                        break;
-                    }
-                    assignment = std::move(model);
-                }
-                if (wind_down.load(std::memory_order_relaxed)) {
-                    if (from_pending) {
-                        std::lock_guard<std::mutex> lock(coord);
-                        tree_.ReleaseClaim(claimed);
-                    }
-                    break;
-                }
-
-                RoundItem item;
-                item.from_pending = from_pending;
-                item.claimed = claimed;
-                if (m_par_in_flight_ != nullptr) {
-                    m_par_in_flight_->Add(1);
-                }
-                const auto run_start = Clock::now();
-                context.runtime.BeginRecordedRun(assignment, &item.log);
-                {
-                    CHEF_OBS_SPAN(run_span, options_.obs.tracer,
-                                  "engine/parallel_run", "engine");
-                    item.outcome = run(context.runtime);
-                }
-                item.run_stats = context.runtime.EndRun();
-                item.complete_inputs = CompleteInputsFor(context.runtime);
-                item.ran = true;
-                if (m_runs_ != nullptr) {
-                    m_runs_->Add();
-                    m_run_latency_->Record(std::chrono::duration<double>(
-                                               Clock::now() - run_start)
-                                               .count());
-                }
-                if (m_par_in_flight_ != nullptr) {
-                    m_par_in_flight_->Add(-1);
-                }
-
-                solver::Assignment retry;
-                bool has_retry = false;
-                {
-                    std::lock_guard<std::mutex> lock(coord);
-                    has_retry = CommitRun(item, elapsed(), &test_cases,
-                                          &context.solver, &retry);
-                    if (options_.strategy == StrategyKind::kCupaCoverage) {
-                        tracker_.cfg().RecomputeAnalysis(
-                            options_.branch_opcode_drop_fraction);
-                    }
-                    // The commit may have registered new pending states.
-                    cv.notify_all();
-                }
-                if (has_retry &&
-                    !wind_down.load(std::memory_order_relaxed)) {
-                    // Assume-retry: rerun under the repaired assignment
-                    // without releasing the work token.
-                    assignment = std::move(retry);
-                    from_pending = false;
-                    chain = true;
-                }
-            }
-
-            {
-                std::lock_guard<std::mutex> lock(coord);
-                --busy;
-                cv.notify_all();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        pool.emplace_back(worker_fn, i);
-    }
-    for (std::thread& worker : pool) {
-        worker.join();
-    }
-
     stats_.stopped = stopped;
     FinalizeStats(elapsed(), workers);
     return test_cases;
@@ -926,10 +715,6 @@ Engine::FinalizeStats(
             solver_stats.incremental_sat_calls;
         stats_.solver_clauses_loaded += solver_stats.clauses_loaded;
         stats_.solver_seconds += solver_stats.solve_seconds;
-    }
-    stats_.claim_contention = tree_.claim_contention();
-    if (m_par_contention_ != nullptr && stats_.claim_contention > 0) {
-        m_par_contention_->Add(stats_.claim_contention);
     }
     stats_.elapsed_seconds = elapsed_seconds;
     if (options_.obs.attribution != nullptr) {

@@ -12,22 +12,21 @@
 /// next alternate state, validate its path condition with the solver, and
 /// re-run under the satisfying assignment.
 ///
-/// With Options::exploration_threads > 1 one session is explored by several
-/// worker threads over the shared execution tree. Two modes:
+/// The engine's driver thread is the single owner of the execution tree,
+/// the search strategy and the tracker. Two loops:
 ///
-///  - Deterministic round mode (default): the driver claims up to
-///    round_width states in strategy order and solves them serially on the
-///    session solver, the workers execute the guest runs in parallel in
-///    recording mode, and the driver commits the recorded logs serially in
-///    selection order, then barriers and repeats. Because round_width is
-///    independent of the thread count and all shared-state mutation is
-///    serial and canonically ordered, the produced test cases, fingerprints
-///    and stats are bit-identical for any exploration_threads >= 2 (and
-///    exploration_threads = 1 bypasses all of this, running the classic
-///    serial loop).
-///  - Free-running mode (Options::free_running): workers claim, solve (on
-///    their own solver), run and commit continuously with no barrier —
-///    maximum throughput, nondeterministic interleaving.
+///  - Serial (Options::exploration_threads = 1): the classic loop above.
+///  - Deterministic round mode (exploration_threads >= 2): the driver
+///    claims up to a fixed round width of states in strategy order and
+///    solves them serially on the session solver, worker threads execute
+///    the guest runs in parallel on private recording runtimes (which
+///    touch only their own cursor and solver, never the tree), and the
+///    driver commits the recorded logs serially in selection order, then
+///    barriers and repeats. Because the round width is independent of the
+///    thread count and all tree/strategy mutation is serial and
+///    canonically ordered, the produced test cases, fingerprints and stats
+///    are bit-identical for any exploration_threads >= 2 (but not equal to
+///    the serial loop's, whose selection interleaves differently).
 
 #include <chrono>
 #include <cstdint>
@@ -119,9 +118,10 @@ struct EngineStats {
     uint32_t threads_used = 1;
     /// Deterministic rounds executed (round mode only).
     uint64_t rounds = 0;
-    /// States leased to workers via the claim protocol.
+    /// States leased for a round via the claim protocol (round mode only).
     uint64_t claims = 0;
-    /// Times a claim found the tree lock contended (from the tree).
+    /// Always 0: the tree has a single owner and no lock to contend.
+    /// Kept because external stats readers still report the field.
     uint64_t claim_contention = 0;
     /// Total worker-idle time at round barriers (sum over workers of the
     /// gap between finishing their last run of a round and the round
@@ -181,20 +181,11 @@ class Engine
         /// one (or with a cold, private one).
         solver::Solver::Options solver_options = {};
         bool collect_timeline = true;
-        /// Intra-session parallelism: number of exploration worker
-        /// threads driving this session's shared execution tree. 1 (the
-        /// default) runs the classic serial loop, bit-identical to
-        /// pre-parallel engines. >= 2 selects deterministic round mode
-        /// unless free_running is set.
+        /// Intra-session parallelism: number of threads running this
+        /// session's guest runs. 1 (the default) runs the classic serial
+        /// loop, bit-identical to pre-parallel engines. >= 2 selects
+        /// deterministic round mode.
         uint32_t exploration_threads = 1;
-        /// With exploration_threads >= 2: opt out of deterministic round
-        /// mode into free-running mode (workers claim/solve/run/commit
-        /// continuously; nondeterministic, maximum throughput).
-        bool free_running = false;
-        /// Round mode: maximum states claimed + solved per round. Kept
-        /// independent of exploration_threads so results are invariant in
-        /// the thread count.
-        uint32_t round_width = 8;
         /// Cooperative cancellation hook. Checked between concolic
         /// iterations and between state-selection solver calls; under
         /// parallel exploration it is additionally polled between claims,
@@ -214,8 +205,8 @@ class Engine
         /// dispatch) and engine/select (state selection) spans plus
         /// engine.* counters, and under parallel exploration
         /// engine/parallel_run per-worker spans plus engine.parallel.*
-        /// counters (states in flight, claims, claim contention, round
-        /// barrier wait).
+        /// counters (states in flight, claims, rounds, round barrier
+        /// wait).
         obs::ObsContext obs;
     };
 
@@ -254,15 +245,14 @@ class Engine
 
     std::vector<TestCase> ExploreSerial(const RunFn& run);
     std::vector<TestCase> ExploreRounds(const RunFn& run);
-    std::vector<TestCase> ExploreFreeRunning(const RunFn& run);
 
-    /// Serial commit of one recorded run: replays the log into the shared
-    /// tree + tracker, produces the test case or queues the assume-retry
-    /// assignment, and updates stats. Returns true if the commit produced
-    /// an assume-retry assignment in *retry.
+    /// Serial commit of one recorded run: replays the log into the tree +
+    /// tracker, produces the test case or solves the assume-retry
+    /// assignment on the session solver, and updates stats. Returns true
+    /// if the commit produced an assume-retry assignment in *retry.
     bool CommitRun(const RoundItem& item, double t_now,
                    std::vector<TestCase>* test_cases,
-                   solver::Solver* retry_solver, solver::Assignment* retry);
+                   solver::Assignment* retry);
 
     /// Charges one committed run to the attribution profiler: a step
     /// per trace entry (with discovery-parent links), the run and its
@@ -290,7 +280,6 @@ class Engine
     obs::Histogram* m_run_latency_ = nullptr;
     obs::Gauge* m_par_in_flight_ = nullptr;
     obs::Counter* m_par_claims_ = nullptr;
-    obs::Counter* m_par_contention_ = nullptr;
     obs::Counter* m_par_rounds_ = nullptr;
     obs::Histogram* m_par_barrier_wait_ = nullptr;
     solver::Solver solver_;
@@ -305,7 +294,7 @@ class Engine
     /// High-water mark over announced state ids: ReleaseClaim
     /// re-announces a state through the state-added hook, so fork
     /// charges fire only for ids above the mark (exactly once per
-    /// registered state; the hook runs under the tree lock).
+    /// registered state).
     lowlevel::StateId attr_last_fork_id_ = 0;
 };
 

@@ -20,7 +20,7 @@ CupaStrategy::CupaStrategy(
 }
 
 void
-CupaStrategy::AddLocked(const AlternateState& state)
+CupaStrategy::OnStateAdded(const AlternateState& state)
 {
     std::vector<uint64_t> keys;
     keys.reserve(levels_.size());
@@ -41,7 +41,7 @@ CupaStrategy::AddLocked(const AlternateState& state)
 }
 
 void
-CupaStrategy::RemoveLocked(StateId id)
+CupaStrategy::OnStateRemoved(StateId id)
 {
     auto it = membership_.find(id);
     if (it == membership_.end()) {
@@ -74,7 +74,7 @@ CupaStrategy::RemoveLocked(StateId id)
 }
 
 StateId
-CupaStrategy::ClaimLocked()
+CupaStrategy::ClaimState()
 {
     CHEF_CHECK(!membership_.empty());
     ClassNode* node = &root_;
@@ -107,14 +107,14 @@ CupaStrategy::ClaimLocked()
 }
 
 void
-RandomStrategy::AddLocked(const AlternateState& state)
+RandomStrategy::OnStateAdded(const AlternateState& state)
 {
     index_[state.id] = states_.size();
     states_.push_back(state.id);
 }
 
 void
-RandomStrategy::RemoveLocked(StateId id)
+RandomStrategy::OnStateRemoved(StateId id)
 {
     auto it = index_.find(id);
     if (it == index_.end()) {
@@ -129,45 +129,45 @@ RandomStrategy::RemoveLocked(StateId id)
 }
 
 StateId
-RandomStrategy::ClaimLocked()
+RandomStrategy::ClaimState()
 {
     CHEF_CHECK(!states_.empty());
     return states_[rng_->NextBelow(states_.size())];
 }
 
 void
-DfsStrategy::AddLocked(const AlternateState& state)
+DfsStrategy::OnStateAdded(const AlternateState& state)
 {
     ids_.emplace(state.id, true);
 }
 
 void
-DfsStrategy::RemoveLocked(StateId id)
+DfsStrategy::OnStateRemoved(StateId id)
 {
     ids_.erase(id);
 }
 
 StateId
-DfsStrategy::ClaimLocked()
+DfsStrategy::ClaimState()
 {
     CHEF_CHECK(!ids_.empty());
     return ids_.rbegin()->first;
 }
 
 void
-BfsStrategy::AddLocked(const AlternateState& state)
+BfsStrategy::OnStateAdded(const AlternateState& state)
 {
     ids_.emplace(state.id, true);
 }
 
 void
-BfsStrategy::RemoveLocked(StateId id)
+BfsStrategy::OnStateRemoved(StateId id)
 {
     ids_.erase(id);
 }
 
 StateId
-BfsStrategy::ClaimLocked()
+BfsStrategy::ClaimState()
 {
     CHEF_CHECK(!ids_.empty());
     return ids_.begin()->first;

@@ -14,14 +14,12 @@ ExecutionTree::ExecutionTree()
 void
 ExecutionTree::Reset()
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     nodes_.clear();
     // Node 0 is a sentinel whose child[0] slot holds the first real branch.
     nodes_.push_back(Node{});
     pending_.clear();
     in_flight_.clear();
     next_state_id_ = 1;
-    BeginRun(default_cursor_);
 }
 
 void
@@ -39,8 +37,6 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
                        const solver::ExprRef& negated_constraint,
                        const HlPosition& hl)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-
     // The next branch lives in the child slot reached by the last decision
     // (or the sentinel's slot 0 at the start of a run).
     const int32_t parent = cursor.node;
@@ -66,7 +62,7 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
     // (if the strategy had not picked it yet) is dropped.
     if (node.status[taken_index] == EdgeStatus::kRegistered) {
         if (pending_.erase(node.pending_id[taken_index]) > 0) {
-            states_overtaken_.fetch_add(1, std::memory_order_relaxed);
+            ++states_overtaken_;
             if (on_pending_removed_) {
                 on_pending_removed_(node.pending_id[taken_index]);
             }
@@ -108,7 +104,6 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
 AlternateState
 ExecutionTree::TakePending(StateId id)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     auto it = pending_.find(id);
     CHEF_CHECK_MSG(it != pending_.end(), "unknown pending state id");
     AlternateState state = std::move(it->second);
@@ -119,28 +114,17 @@ ExecutionTree::TakePending(StateId id)
     return state;
 }
 
-bool
-ExecutionTree::ClaimState(const std::function<StateId()>& select,
-                          AlternateState* out)
+AlternateState
+ExecutionTree::ClaimState(StateId id)
 {
-    std::unique_lock<std::recursive_mutex> lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        claim_contention_.fetch_add(1, std::memory_order_relaxed);
-        lock.lock();
-    }
-    const StateId id = select();
-    if (id == 0) {
-        return false;
-    }
-    *out = TakePending(id);
+    AlternateState state = TakePending(id);
     in_flight_.emplace(id, std::chrono::steady_clock::now());
-    return true;
+    return state;
 }
 
 void
 ExecutionTree::ReleaseClaim(const AlternateState& state)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     in_flight_.erase(state.id);
     auto [it, inserted] = pending_.emplace(state.id, state);
     CHEF_CHECK_MSG(inserted, "released state was still pending");
@@ -152,14 +136,12 @@ ExecutionTree::ReleaseClaim(const AlternateState& state)
 void
 ExecutionTree::CompleteClaim(StateId id)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     in_flight_.erase(id);
 }
 
 void
 ExecutionTree::MarkInfeasible(const AlternateState& state)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     in_flight_.erase(state.id);
     Node& node = nodes_[state.node];
     const int index = state.direction ? 1 : 0;
@@ -167,17 +149,9 @@ ExecutionTree::MarkInfeasible(const AlternateState& state)
     node.pending_id[index] = 0;
 }
 
-size_t
-ExecutionTree::states_in_flight() const
-{
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    return in_flight_.size();
-}
-
 const AlternateState*
 ExecutionTree::FindPending(StateId id) const
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     auto it = pending_.find(id);
     return it == pending_.end() ? nullptr : &it->second;
 }
@@ -185,31 +159,15 @@ ExecutionTree::FindPending(StateId id) const
 void
 ExecutionTree::ScaleForkWeight(StateId id, double factor)
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     auto it = pending_.find(id);
     if (it != pending_.end()) {
         it->second.fork_weight *= factor;
     }
 }
 
-size_t
-ExecutionTree::num_nodes() const
-{
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    return nodes_.size();
-}
-
-uint64_t
-ExecutionTree::total_registered() const
-{
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    return next_state_id_ - 1;
-}
-
 obs::FrontierSnapshot
 ExecutionTree::SnapshotFrontier() const
 {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
     obs::FrontierSnapshot frontier;
     frontier.pending = pending_.size();
     frontier.in_flight = in_flight_.size();

@@ -11,22 +11,22 @@
 /// states carry the bookkeeping CUPA needs: the forking low-level PC, the
 /// static and dynamic high-level PC at the fork, and the fork weight.
 ///
-/// Concurrency model: one ExecutionTree may be shared by several exploration
-/// workers. All shared structures (nodes, the pending pool, the in-flight
-/// lease set) are guarded by an internal lock; per-run traversal state lives
-/// in a Cursor owned by each worker's runtime, so concurrent runs never
-/// share mutable cursor state. A pending state is *leased* to a worker via
-/// ClaimState (which runs the strategy's selection under the tree lock, so
-/// selection and removal are atomic); leased states are out of the pending
-/// pool and therefore excluded from further selection until the worker
-/// either commits the run that explores them (CompleteClaim), proves them
-/// infeasible (MarkInfeasible), or hands them back (ReleaseClaim).
+/// Ownership model: the tree is driver-owned and not thread-safe. Every
+/// mutation (Advance, the claim protocol, the hooks it fires) happens on
+/// the engine's driver thread. Per-run traversal state lives in a Cursor
+/// owned by the run's runtime; parallel exploration workers run guests on
+/// private recording runtimes that only touch their own cursor (BeginRun
+/// and AddConstraint leave the tree itself alone) and hand their logs to
+/// the driver for a serial replay. A pending state is *leased* via
+/// ClaimState (for one round in round mode, for one solve in the serial
+/// loop); leased states are out of the pending pool and therefore excluded
+/// from further selection until the driver either commits the run that
+/// explores them (CompleteClaim), proves them infeasible (MarkInfeasible),
+/// or hands them back (ReleaseClaim).
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -85,9 +85,8 @@ struct HlPosition {
 class ExecutionTree
 {
   public:
-    /// Per-run traversal state. Each concurrent run owns one cursor; the
-    /// tree never stores per-run state, so runs only contend on the shared
-    /// node/pending structures inside Advance.
+    /// Per-run traversal state. Each run owns one cursor; the tree never
+    /// stores per-run state.
     class Cursor
     {
       public:
@@ -115,12 +114,9 @@ class ExecutionTree
     /// Drops all nodes and pending states.
     void Reset();
 
-    /// Resets \p cursor to the root for a new run.
+    /// Resets \p cursor to the root for a new run. Touches only the
+    /// cursor.
     void BeginRun(Cursor& cursor);
-
-    /// Legacy form: resets the tree's built-in default cursor (used by
-    /// single-threaded callers and tests).
-    void BeginRun() { BeginRun(default_cursor_); }
 
     /// Result of advancing a run cursor through a symbolic branch.
     struct AdvanceResult {
@@ -135,43 +131,18 @@ class ExecutionTree
     /// The alternate's path condition is the cursor's prefix plus the
     /// negated constraint; \p hl stamps the alternate with the run's
     /// high-level position. A newly registered state is announced through
-    /// the state-added hook while still holding the tree lock, so observers
-    /// see it fully constructed and exactly once.
+    /// the state-added hook once fully constructed, exactly once.
     AdvanceResult Advance(Cursor& cursor, uint64_t llpc, bool taken,
                           const solver::ExprRef& taken_constraint,
                           const solver::ExprRef& negated_constraint,
                           const HlPosition& hl);
 
-    /// Legacy form: default cursor, empty high-level position.
-    AdvanceResult Advance(uint64_t llpc, bool taken,
-                          const solver::ExprRef& taken_constraint,
-                          const solver::ExprRef& negated_constraint)
-    {
-        return Advance(default_cursor_, llpc, taken, taken_constraint,
-                       negated_constraint, HlPosition{});
-    }
-
-    /// The path condition of the default cursor's current run.
-    const std::vector<solver::ExprRef>& current_path_condition() const
-    {
-        return default_cursor_.path_condition();
-    }
-
     /// Adds an assumption to a run's path condition (not a branch; no
-    /// forking, no shared state touched).
+    /// forking). Touches only the cursor.
     void AddConstraint(Cursor& cursor, const solver::ExprRef& constraint)
     {
         cursor.path_condition_.push_back(constraint);
     }
-
-    /// Legacy form: default cursor.
-    void AddConstraint(const solver::ExprRef& constraint)
-    {
-        AddConstraint(default_cursor_, constraint);
-    }
-
-    /// Number of symbolic branches the default cursor's run has passed.
-    uint32_t current_depth() const { return default_cursor_.depth(); }
 
     /// Removes and returns a pending state (strategy selected it).
     /// The state stays recorded as kRegistered in the tree until the caller
@@ -179,17 +150,14 @@ class ExecutionTree
     /// it.
     AlternateState TakePending(StateId id);
 
-    // -- Claim/lease protocol (parallel exploration) ------------------------
+    // -- Claim/lease protocol ------------------------------------------------
 
-    /// Atomically runs \p select (typically SearchStrategy::ClaimState)
-    /// under the tree lock and, if it returns a non-zero id, leases that
-    /// state to the caller: the state leaves the pending pool (firing the
-    /// pending-removed hook) and is tracked as in flight. Returns false
-    /// when \p select returned 0 (nothing selectable). The leased state
+    /// Leases pending state \p id (typically SearchStrategy::ClaimState's
+    /// pick) to the caller: the state leaves the pending pool (firing the
+    /// pending-removed hook) and is tracked as in flight. The leased state
     /// must be resolved with CompleteClaim, MarkInfeasible, or
     /// ReleaseClaim.
-    bool ClaimState(const std::function<StateId()>& select,
-                    AlternateState* out);
+    AlternateState ClaimState(StateId id);
 
     /// Hands a leased state back untouched: re-inserts it into the pending
     /// pool and re-announces it through the state-added hook (so the
@@ -205,35 +173,21 @@ class ExecutionTree
     void MarkInfeasible(const AlternateState& state);
 
     /// Number of leased (claimed, not yet resolved) states.
-    size_t states_in_flight() const;
-
-    /// Times a claim found the tree lock already held (lock contention
-    /// between exploration workers).
-    uint64_t claim_contention() const
-    {
-        return claim_contention_.load(std::memory_order_relaxed);
-    }
+    size_t states_in_flight() const { return in_flight_.size(); }
 
     /// Pending states dropped because a run explored their direction
     /// before the strategy picked them (Advance's stale-alternate path).
-    /// With concurrent runs the count depends on interleaving: every
-    /// registered state ends up exactly one of finalized, still pending,
-    /// or overtaken.
-    uint64_t states_overtaken() const
-    {
-        return states_overtaken_.load(std::memory_order_relaxed);
-    }
+    /// Every registered state ends up exactly one of finalized, still
+    /// pending, or overtaken.
+    uint64_t states_overtaken() const { return states_overtaken_; }
 
     // -----------------------------------------------------------------------
 
-    /// Looks up a pending state (for strategies). Null if absent. Only
-    /// meaningful under the tree lock (i.e. from within a ClaimState
-    /// selection callback or single-threaded use); the pointer is
-    /// invalidated by any concurrent mutation.
+    /// Looks up a pending state (for strategies). Null if absent. The
+    /// pointer is invalidated by the next mutation.
     const AlternateState* FindPending(StateId id) const;
 
-    /// All pending states (insertion order not guaranteed). Requires
-    /// external quiescence; used by single-threaded callers and tests.
+    /// All pending states (insertion order not guaranteed).
     const std::unordered_map<StateId, AlternateState>& pending() const
     {
         return pending_;
@@ -242,28 +196,26 @@ class ExecutionTree
     /// Multiplies the fork weight of a pending state (fork streak decay).
     void ScaleForkWeight(StateId id, double factor);
 
-    size_t num_nodes() const;
-    uint64_t total_registered() const;
+    size_t num_nodes() const { return nodes_.size(); }
+    uint64_t total_registered() const { return next_state_id_ - 1; }
 
     /// Point-in-time frontier view (obs/attribution.h): pending count
     /// and depth histogram, in-flight lease count and ages, node count,
     /// and the tree's mean branching factor. strategy_picks is left
     /// empty — the engine owns the strategy-decision audit ring and
-    /// fills it in. Takes the tree lock.
+    /// fills it in.
     obs::FrontierSnapshot SnapshotFrontier() const;
 
     /// Observer invoked whenever a pending state disappears from the pool
     /// (selected by the strategy, overtaken by natural exploration, or
     /// proven infeasible). Used by search strategies for bookkeeping.
-    /// Invoked under the tree lock.
     void set_on_pending_removed(std::function<void(StateId)> hook)
     {
         on_pending_removed_ = std::move(hook);
     }
 
     /// Observer invoked when a state enters (or re-enters, after
-    /// ReleaseClaim) the pending pool, fully constructed. Invoked under the
-    /// tree lock.
+    /// ReleaseClaim) the pending pool, fully constructed.
     void set_on_state_added(
         std::function<void(const AlternateState&)> hook)
     {
@@ -278,23 +230,15 @@ class ExecutionTree
         StateId pending_id[2] = {0, 0};
     };
 
-    // Recursive because strategy callbacks run under the tree lock and may
-    // legitimately re-enter read accessors (CupaStrategy reads pending
-    // fork weights through FindPending while selecting).
-    mutable std::recursive_mutex mutex_;
-
     std::vector<Node> nodes_;
     std::unordered_map<StateId, AlternateState> pending_;
     /// Leased states with their claim times (frontier lease ages).
     std::unordered_map<StateId, std::chrono::steady_clock::time_point>
         in_flight_;
     StateId next_state_id_ = 1;
-    std::atomic<uint64_t> claim_contention_{0};
-    std::atomic<uint64_t> states_overtaken_{0};
+    uint64_t states_overtaken_ = 0;
     std::function<void(StateId)> on_pending_removed_;
     std::function<void(const AlternateState&)> on_state_added_;
-
-    Cursor default_cursor_;
 };
 
 }  // namespace chef::lowlevel

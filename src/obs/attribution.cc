@@ -304,7 +304,6 @@ void
 FrontierInspector::RecordPick(const char* strategy, uint64_t hl_pc,
                               uint32_t depth)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Pick& slot = ring_[next_seq_ % kFrontierPickRing];
     slot.seq = next_seq_++;
     slot.hl_pc = hl_pc;
@@ -316,7 +315,6 @@ FrontierInspector::RecordPick(const char* strategy, uint64_t hl_pc,
 std::vector<FrontierInspector::Pick>
 FrontierInspector::RecentPicks() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<Pick> picks;
     const uint64_t count =
         next_seq_ < kFrontierPickRing ? next_seq_ : kFrontierPickRing;
@@ -330,7 +328,6 @@ FrontierInspector::RecentPicks() const
 std::map<std::string, uint64_t>
 FrontierInspector::PickCounts() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     return counts_;
 }
 

@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -250,7 +249,8 @@ struct FrontierSnapshot {
 /// Bounded audit ring over strategy decisions: every successful claim
 /// records (strategy, hl_pc, depth). The ring keeps the most recent
 /// kFrontierPickRing entries for inspection; totals per strategy are
-/// kept exactly.
+/// kept exactly. Not thread-safe: the engine's driver thread, which owns
+/// the strategy, is its only caller.
 constexpr size_t kFrontierPickRing = 256;
 
 class FrontierInspector
@@ -274,7 +274,6 @@ class FrontierInspector
     std::map<std::string, uint64_t> PickCounts() const;
 
   private:
-    mutable std::mutex mutex_;
     std::array<Pick, kFrontierPickRing> ring_{};
     uint64_t next_seq_ = 0;
     std::map<std::string, uint64_t> counts_;

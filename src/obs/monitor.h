@@ -19,8 +19,8 @@ namespace chef::obs {
 /// sample count, merged totals) plus one row per shard with windowed
 /// jobs/s, new-fingerprints/s, solver-seconds/s, shared-cache hit rate,
 /// solver p95 over the window, corpus size, plateau cancels, the
-/// intra-session parallelism view (states in flight, claim-contention
-/// events/s), and a coarse state tag ("warming" with < 2 samples,
+/// intra-session parallelism view (states in flight), and a coarse state
+/// tag ("warming" with < 2 samples,
 /// "climbing" while the fingerprint rate is positive, "flat" once it
 /// hits zero).
 std::string RenderMonitorFrame(const ClusterSeries& series,

@@ -206,7 +206,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     std::vector<char> have_result(jobs.size(), 0);
     std::vector<WireJob> pending_requeue;
     size_t live_shards = num_shards;
-    bool quorum_broken = false;
 
     const auto record_result = [&](service::JobResult&& job) {
         if (job.job_index >= results_.size()) {
@@ -239,8 +238,10 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         rt.last_heard = Clock::now();
         rt.silent_intervals = 0;
         rt.beat_seen = false;
+        // A send fails only once the peer's end is gone: the same death
+        // the receive path reports, whichever side notices it first.
         if (!rt.transport->Send(line)) {
-            mark_dead(shard, "send failed");
+            mark_dead(shard, "transport closed (send failed)");
         }
     };
 
@@ -400,7 +401,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                     continue;
                 }
                 if (!runtime[other].transport->Send(line_out)) {
-                    mark_dead(other, "send failed");
+                    mark_dead(other, "transport closed (send failed)");
                 }
             }
             break;
@@ -574,7 +575,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                 partitions[shard].clear();
                 send_run(shard, std::move(batch));
                 progressed = true;
-            } else if (!pending_requeue.empty() && !quorum_broken) {
+            } else if (!pending_requeue.empty() && live_shards >= quorum) {
                 const uint64_t t0 = tracer.NowMicros();
                 const size_t count = pending_requeue.size();
                 std::vector<WireJob> batch = std::move(pending_requeue);
@@ -588,8 +589,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             }
         }
 
-        quorum_broken = live_shards < quorum;
-
         // Done once nothing is running, greeting, or pending respawn,
         // and the backlog is empty (or undispatchable: quorum broke).
         bool waiting = false;
@@ -601,7 +600,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                 break;
             }
         }
-        if (!waiting && (pending_requeue.empty() || quorum_broken)) {
+        if (!waiting && (pending_requeue.empty() || live_shards < quorum)) {
             break;
         }
         if (!progressed) {

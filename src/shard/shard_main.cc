@@ -391,6 +391,15 @@ BuildBatch(const CliOptions& options)
     return jobs;
 }
 
+/// The smoke's engine-threads parity baseline: a second round-mode width.
+/// Round mode is bit-identical only across thread counts >= 2 (one thread
+/// runs the serial loop, which selects states in a different order).
+uint32_t
+ParityBaselineThreads(uint32_t engine_threads)
+{
+    return engine_threads == 2 ? 3 : 2;
+}
+
 ShardCoordinator::Options
 CoordinatorOptions(const CliOptions& options)
 {
@@ -398,6 +407,14 @@ CoordinatorOptions(const CliOptions& options)
     coordinator.service.seed = options.seed;
     coordinator.service.num_workers = options.shard_workers;
     coordinator.service.engine_threads = options.engine_threads;
+    // The smoke's parity check compares two round-mode widths: reserve
+    // enough cores that no host clamps either grant to the serial loop.
+    if (options.smoke && options.engine_threads > 1) {
+        coordinator.service.core_budget =
+            options.shard_workers *
+            std::max(options.engine_threads,
+                     ParityBaselineThreads(options.engine_threads));
+    }
     coordinator.service.max_total_seconds = options.budget_seconds;
     if (options.plateau) {
         coordinator.service.plateau_policy.enabled = true;
@@ -1291,38 +1308,41 @@ RunCoordinator(const CliOptions& options, const char* argv0)
     }
 
     // 2b. Intra-session parallelism parity: deterministic round mode
-    //    must produce exactly the corpus a single-threaded run of the
-    //    same batch does (sessions are bounded by max_runs, so their
-    //    results are thread-count-invariant).
+    //    must produce exactly the corpus the same batch does at another
+    //    round-mode width (sessions are bounded by max_runs, so their
+    //    results are invariant in any thread count >= 2).
     if (baseline_ok && !options.plateau && options.engine_threads > 1) {
-        ShardCoordinator::Options serial_options =
+        const uint32_t baseline_threads =
+            ParityBaselineThreads(options.engine_threads);
+        ShardCoordinator::Options baseline_options =
             CoordinatorOptions(options);
-        serial_options.service.plateau_policy = {};
-        serial_options.service.engine_threads = 1;
-        ShardCoordinator serial(serial_options);
-        if (!chef::shard::RunLoopbackShards(&serial, jobs, 1, &error)) {
+        baseline_options.service.plateau_policy = {};
+        baseline_options.service.engine_threads = baseline_threads;
+        ShardCoordinator baseline(baseline_options);
+        if (!chef::shard::RunLoopbackShards(&baseline, jobs, 1, &error)) {
             std::fprintf(stderr,
-                         "FAIL: engine-threads=1 parity baseline: %s\n",
-                         error.c_str());
+                         "FAIL: engine-threads=%u parity baseline: %s\n",
+                         baseline_threads, error.c_str());
             ++failures;
         } else {
             const std::vector<TestCorpus::Key> wide_keys =
                 single.corpus().Keys();
-            const std::vector<TestCorpus::Key> serial_keys =
-                serial.corpus().Keys();
-            if (!CoversCorpus(wide_keys, serial_keys) ||
-                !CoversCorpus(serial_keys, wide_keys)) {
+            const std::vector<TestCorpus::Key> baseline_keys =
+                baseline.corpus().Keys();
+            if (!CoversCorpus(wide_keys, baseline_keys) ||
+                !CoversCorpus(baseline_keys, wide_keys)) {
                 std::fprintf(stderr,
                              "FAIL: engine-threads corpus parity broken "
-                             "— %u threads: %zu keys vs 1 thread: %zu "
+                             "— %u threads: %zu keys vs %u threads: %zu "
                              "keys\n",
                              options.engine_threads, wide_keys.size(),
-                             serial_keys.size());
+                             baseline_threads, baseline_keys.size());
                 ++failures;
             } else {
                 std::printf("  smoke: engine-threads corpus parity holds "
-                            "(%u threads, %zu keys)\n",
-                            options.engine_threads, serial_keys.size());
+                            "(%u vs %u threads, %zu keys)\n",
+                            options.engine_threads, baseline_threads,
+                            baseline_keys.size());
             }
             // 2c. Attribution thread parity: every count column of the
             //    table (steps, forks, runs, fingerprints, ...) is
@@ -1332,16 +1352,16 @@ RunCoordinator(const CliOptions& options, const char* argv0)
             //    (AttributionCountsEqual compares counts only).
             if (!chef::obs::AttributionCountsEqual(
                     single.ClusterAttribution(),
-                    serial.ClusterAttribution())) {
+                    baseline.ClusterAttribution())) {
                 std::fprintf(stderr,
                              "FAIL: attribution counts differ between "
-                             "%u engine threads and 1\n",
-                             options.engine_threads);
+                             "%u and %u engine threads\n",
+                             options.engine_threads, baseline_threads);
                 ++failures;
             } else {
                 std::printf("  smoke: attribution tables identical at "
-                            "%u threads vs 1 (count columns)\n",
-                            options.engine_threads);
+                            "%u vs %u threads (count columns)\n",
+                            options.engine_threads, baseline_threads);
             }
         }
     }

@@ -555,6 +555,7 @@ ServiceConfig::ToServiceOptions() const
     options.plateau_policy = plateau_policy;
     options.metrics_interval_seconds = metrics_interval_seconds;
     options.engine_threads = engine_threads;
+    options.core_budget = core_budget;
     // Options::obs is deliberately left null: telemetry scopes never
     // cross the wire. The worker builds its own registry/tracer per run
     // (see ShardWorker::HandleRun) and wires them in there.
@@ -576,6 +577,7 @@ ServiceConfig::FromServiceOptions(
     config.tracing = options.obs.tracing_enabled();
     config.metrics_interval_seconds = options.metrics_interval_seconds;
     config.engine_threads = options.engine_threads;
+    config.core_budget = options.core_budget;
     return config;
 }
 
@@ -653,6 +655,10 @@ EncodeRun(const RunRequest& request)
         json.Key("engine_threads"),
             json.Value(static_cast<uint64_t>(
                 request.service.engine_threads));
+    }
+    // v2.5 core budget; omitted at the default of 0.
+    if (request.service.core_budget > 0) {
+        json.Key("core_budget"), json.Value(request.service.core_budget);
     }
     json.Key("plateau");
     json.BeginObject();
@@ -899,6 +905,14 @@ DecodeMessage(const std::string& line, Message* message,
             }
             run.service.engine_threads =
                 static_cast<uint32_t>(engine_threads);
+        }
+        // v2.5 core budget: optional, default 0 (hardware concurrency).
+        if (svc->Find("core_budget") != nullptr) {
+            uint64_t core_budget = 0;
+            if (!ReadU64(*svc, "core_budget", &core_budget, error)) {
+                return false;
+            }
+            run.service.core_budget = static_cast<size_t>(core_budget);
         }
         if (!SchedulePolicyFromName(policy,
                                     &run.service.schedule_policy)) {

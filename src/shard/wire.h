@@ -54,8 +54,10 @@ constexpr int kProtocolVersion = 2;
 /// v2.4: optional "attribution" per-location cost/yield snapshot on
 /// kGossip and kResult (obs/attribution.h); omitted when the sender has
 /// no table, so a run without attribution encodes byte-identically to
-/// v2.3, and pre-v2.4 decoders ignore the key when present.
-constexpr int kProtocolVersionMinor = 4;
+/// v2.3, and pre-v2.4 decoders ignore the key when present. v2.5:
+/// optional "core_budget" in the kRun service config; omitted at its
+/// default of 0 (the worker's hardware concurrency).
+constexpr int kProtocolVersionMinor = 5;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -107,6 +109,10 @@ struct ServiceConfig {
     /// worker (clamped there against its core budget); 1 (the pre-v2.3
     /// behavior) keeps sessions single-threaded.
     uint32_t engine_threads = 1;
+    /// v2.5: the worker's core budget for clamping engine_threads grants
+    /// (ExplorationService::Options::core_budget); 0 (the pre-v2.5
+    /// behavior) means the worker's hardware concurrency.
+    size_t core_budget = 0;
 
     service::ExplorationService::Options ToServiceOptions() const;
     static ServiceConfig FromServiceOptions(

@@ -4,10 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "cupa/strategy.h"
@@ -225,15 +223,17 @@ TEST(CoverageCupa, WeighsStatesByForkWeightFromTree)
 
 
 // ---------------------------------------------------------------------------
-// Concurrent claim/release protocol (run under ThreadSanitizer in CI).
+// Claim/release protocol.
 // ---------------------------------------------------------------------------
 
-// Several worker threads concurrently register states on a shared tree
-// (each along its own path) and drive the strategy through the tree's
-// claim protocol, occasionally handing claims back or marking them
-// infeasible. Every registered state must be finalized at most once and
-// the pending/finalized accounting must balance.
-TEST(StrategyConcurrency, ClaimReleaseCompleteAcrossThreads)
+// Four producer/consumer workers share one tree and strategy, their steps
+// interleaved in a seeded random order on one thread (the tree and the
+// strategy have a single owner). Each worker registers states along its
+// own path, then claims states through the tree's claim protocol, holding
+// each lease across other workers' steps before completing it, marking it
+// infeasible, or handing it back. Every registered state must be finalized
+// at most once and the pending/finalized accounting must balance.
+TEST(StrategyClaimProtocol, ClaimReleaseCompleteInterleaved)
 {
     lowlevel::ExecutionTree tree;
     Rng rng(7);
@@ -245,73 +245,86 @@ TEST(StrategyConcurrency, ClaimReleaseCompleteAcrossThreads)
         strategy->OnStateAdded(state);
     });
 
-    constexpr int kThreads = 4;
-    constexpr int kBranchesPerThread = 32;
+    constexpr int kWorkers = 4;
+    constexpr int kBranchesPerWorker = 32;
     const solver::ExprRef cond = solver::MakeVar(1, "v", 1);
     const solver::ExprRef negated = solver::MakeBoolNot(cond);
 
-    std::vector<std::vector<StateId>> finalized(kThreads);
-    std::atomic<uint64_t> infeasible{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            // Produce: walk a thread-unique path (the first two branch
-            // directions encode the thread id) registering alternates.
-            lowlevel::ExecutionTree::Cursor cursor;
-            tree.BeginRun(cursor);
-            for (int k = 0; k < kBranchesPerThread; ++k) {
-                const bool taken = k < 2 ? ((t >> k) & 1) != 0 : true;
-                tree.Advance(cursor, 1000 + static_cast<uint64_t>(k), taken,
-                             cond, negated,
-                             lowlevel::HlPosition{
-                                 static_cast<uint64_t>(k),
-                                 static_cast<uint64_t>(k), 1});
-            }
-            // Consume: claim through the tree, resolving each lease.
-            int releases_left = kBranchesPerThread;
-            int claimed_count = 0;
-            AlternateState state;
-            while (tree.ClaimState(
-                [&strategy] {
-                    return strategy->empty() ? StateId(0)
-                                             : strategy->ClaimState();
-                },
-                &state)) {
-                ++claimed_count;
-                if (releases_left > 0 && claimed_count % 4 == 0) {
-                    --releases_left;
-                    tree.ReleaseClaim(state);
-                    continue;
-                }
-                if (state.id % 7 == 0) {
-                    tree.MarkInfeasible(state);
-                    infeasible.fetch_add(1);
-                } else {
-                    tree.CompleteClaim(state.id);
-                }
-                finalized[t].push_back(state.id);
-            }
-        });
+    struct Worker {
+        lowlevel::ExecutionTree::Cursor cursor;
+        int produced = 0;
+        int releases_left = kBranchesPerWorker;
+        int claimed_count = 0;
+        bool leased = false;
+        AlternateState lease;
+        bool done = false;
+        std::vector<StateId> finalized;
+    };
+    std::vector<Worker> workers(kWorkers);
+    for (Worker& worker : workers) {
+        tree.BeginRun(worker.cursor);
     }
-    for (std::thread& thread : threads) {
-        thread.join();
+    Rng schedule(11);
+    int active = kWorkers;
+    while (active > 0) {
+        const int t = static_cast<int>(schedule.NextBelow(kWorkers));
+        Worker& worker = workers[t];
+        if (worker.done) {
+            continue;
+        }
+        if (worker.produced < kBranchesPerWorker) {
+            // Produce: one branch on a worker-unique path (the first two
+            // branch directions encode the worker id).
+            const int k = worker.produced++;
+            const bool taken = k < 2 ? ((t >> k) & 1) != 0 : true;
+            tree.Advance(worker.cursor, 1000 + static_cast<uint64_t>(k),
+                         taken, cond, negated,
+                         lowlevel::HlPosition{static_cast<uint64_t>(k),
+                                              static_cast<uint64_t>(k), 1});
+            continue;
+        }
+        if (worker.leased) {
+            // Resolve the lease taken on an earlier step.
+            worker.leased = false;
+            if (worker.releases_left > 0 && worker.claimed_count % 4 == 0) {
+                --worker.releases_left;
+                tree.ReleaseClaim(worker.lease);
+            } else {
+                if (worker.lease.id % 7 == 0) {
+                    tree.MarkInfeasible(worker.lease);
+                } else {
+                    tree.CompleteClaim(worker.lease.id);
+                }
+                worker.finalized.push_back(worker.lease.id);
+            }
+            continue;
+        }
+        // Consume: claim through the tree; nothing pending ends the
+        // worker.
+        if (strategy->empty()) {
+            worker.done = true;
+            --active;
+            continue;
+        }
+        worker.lease = tree.ClaimState(strategy->ClaimState());
+        worker.leased = true;
+        ++worker.claimed_count;
     }
 
     std::set<StateId> unique;
     size_t total_finalized = 0;
-    for (const std::vector<StateId>& ids : finalized) {
-        for (StateId id : ids) {
+    for (const Worker& worker : workers) {
+        for (StateId id : worker.finalized) {
             EXPECT_TRUE(unique.insert(id).second)
                 << "state " << id << " finalized twice";
             ++total_finalized;
         }
     }
     EXPECT_EQ(tree.states_in_flight(), 0u);
-    // Quiescent now: every registered state was finalized exactly once,
-    // is still pending (a thread may exit while a release from another
-    // thread is about to re-announce a state), or was overtaken — dropped
-    // by Advance when a concurrent run explored its direction before any
-    // consumer claimed it.
+    // Every registered state was finalized exactly once, is still
+    // pending, or was overtaken — dropped by Advance when another
+    // worker's run explored its direction before any consumer claimed it.
+    EXPECT_GT(tree.states_overtaken(), 0u);
     EXPECT_EQ(total_finalized + tree.pending().size() +
                   tree.states_overtaken(),
               tree.total_registered());

@@ -360,8 +360,7 @@ GoldenGuest(LowLevelRuntime& rt)
 /// fingerprints, statuses, lengths and complete inputs, plus the
 /// exploration-shape stats. Timeline and wall-clock stats are excluded.
 uint64_t
-SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads,
-              bool free_running = false)
+SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
 {
     Engine::Options options;
     options.strategy = strategy;
@@ -370,7 +369,6 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads,
     options.max_seconds = 60.0;
     options.collect_timeline = false;
     options.exploration_threads = threads;
-    options.free_running = free_running;
     Engine engine(options);
     const std::vector<TestCase> tests = engine.Explore(GoldenGuest);
     uint64_t digest = 0xcbf29ce484222325ull;
@@ -459,42 +457,14 @@ TEST(EngineParallel, RoundModeReachesSerialFingerprintSet)
     EXPECT_EQ(fingerprints(1), fingerprints(4));
 }
 
-// Free-running mode gives up ordering determinism but must still explore
-// the same path set when the guest is exhaustible.
-TEST(EngineParallel, FreeRunningReachesSerialFingerprintSet)
-{
-    Engine::Options options;
-    options.max_runs = 100;
-    options.strategy = StrategyKind::kCupaPath;
-    options.exploration_threads = 4;
-    options.free_running = true;
-    Engine engine(options);
-    std::set<uint64_t> parallel_set;
-    for (const TestCase& test : engine.Explore(ThreeBranchGuest)) {
-        parallel_set.insert(test.hl_path_fingerprint);
-    }
-    EXPECT_EQ(engine.stats().ll_paths, 8u);
-    EXPECT_EQ(engine.stats().threads_used, 4u);
-
-    Engine::Options serial_options;
-    serial_options.max_runs = 100;
-    serial_options.strategy = StrategyKind::kCupaPath;
-    Engine serial_engine(serial_options);
-    std::set<uint64_t> serial_set;
-    for (const TestCase& test : serial_engine.Explore(ThreeBranchGuest)) {
-        serial_set.insert(test.hl_path_fingerprint);
-    }
-    EXPECT_EQ(parallel_set, serial_set);
-}
-
-// Free-running assume-retry: the retry chain must keep the worker's work
-// token so exhaustion is not declared while a retry is about to rerun.
-TEST(EngineParallel, FreeRunningHandlesAssumeRetries)
+// Round-mode assume-retry: a committed run that violates an assumption
+// re-solves on the session solver and carries the repaired assignment
+// into the next round without consuming a claim.
+TEST(EngineParallel, RoundModeHandlesAssumeRetries)
 {
     Engine::Options options;
     options.max_runs = 100;
     options.exploration_threads = 3;
-    options.free_running = true;
     Engine engine(options);
     const std::vector<TestCase> tests =
         engine.Explore(AssumeViolatedByDefaultGuest);
@@ -502,6 +472,10 @@ TEST(EngineParallel, FreeRunningHandlesAssumeRetries)
     ASSERT_EQ(tests.size(), 1u);
     EXPECT_GT(tests[0].inputs.Get(1), 100u);
     EXPECT_NE(tests[0].status, PathStatus::kAssumeViolated);
+    // The violating defaults run and its retry ran in separate rounds.
+    EXPECT_EQ(engine.stats().threads_used, 3u);
+    EXPECT_GE(engine.stats().rounds, 2u);
+    EXPECT_EQ(engine.stats().claims, 0u);
 }
 
 /// Guest with plenty of states whose runs take a measurable ~10ms each, so
@@ -531,7 +505,6 @@ TEST(EngineParallel, MidRoundStopWindsDownWorkersPromptly)
     options.max_runs = 500;
     options.max_seconds = 60.0;
     options.exploration_threads = 4;
-    options.round_width = 8;
     options.stop_requested = [&runs_started] {
         return runs_started.load() >= 3;
     };

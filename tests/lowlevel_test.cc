@@ -79,10 +79,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymValueConsistency,
 TEST(ExecTree, RegistersAlternateOnFirstBranch)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
-    tree.BeginRun();
-    auto result = tree.Advance(100, true, cond, solver::MakeBoolNot(cond));
+    tree.BeginRun(cursor);
+    auto result = tree.Advance(cursor, 100, true,
+                               cond, solver::MakeBoolNot(cond), {});
     ASSERT_NE(result.registered, 0u);
     const AlternateState* state = tree.FindPending(result.registered);
     ASSERT_NE(state, nullptr);
@@ -95,14 +97,15 @@ TEST(ExecTree, RegistersAlternateOnFirstBranch)
 TEST(ExecTree, NoDuplicateRegistration)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
-    tree.BeginRun();
-    tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    tree.Advance(cursor, 100, true, cond, negated, {});
     // Second run takes the same direction: no new registration.
-    tree.BeginRun();
-    auto result = tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    auto result = tree.Advance(cursor, 100, true, cond, negated, {});
     EXPECT_EQ(result.registered, 0u);
     EXPECT_EQ(tree.pending().size(), 1u);
 }
@@ -110,19 +113,20 @@ TEST(ExecTree, NoDuplicateRegistration)
 TEST(ExecTree, NaturalExplorationRemovesPending)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     std::vector<StateId> removed;
     tree.set_on_pending_removed(
         [&removed](StateId id) { removed.push_back(id); });
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
-    tree.BeginRun();
-    auto first = tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    auto first = tree.Advance(cursor, 100, true, cond, negated, {});
     const StateId pending_id = first.registered;
     // A later run takes the other direction without the strategy ever
     // selecting the alternate: the pending state is consumed.
-    tree.BeginRun();
-    auto second = tree.Advance(100, false, negated, cond);
+    tree.BeginRun(cursor);
+    auto second = tree.Advance(cursor, 100, false, negated, cond, {});
     EXPECT_EQ(second.registered, 0u);
     EXPECT_TRUE(tree.pending().empty());
     ASSERT_EQ(removed.size(), 1u);
@@ -132,12 +136,14 @@ TEST(ExecTree, NaturalExplorationRemovesPending)
 TEST(ExecTree, PathConditionAccumulates)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto x = solver::MakeVar(1, "x", 8);
     const auto c1 = solver::MakeUgt(x, solver::MakeConst(10, 8));
     const auto c2 = solver::MakeUlt(x, solver::MakeConst(100, 8));
-    tree.BeginRun();
-    tree.Advance(1, true, c1, solver::MakeBoolNot(c1));
-    auto result = tree.Advance(2, true, c2, solver::MakeBoolNot(c2));
+    tree.BeginRun(cursor);
+    tree.Advance(cursor, 1, true, c1, solver::MakeBoolNot(c1), {});
+    auto result = tree.Advance(cursor, 2, true,
+                               c2, solver::MakeBoolNot(c2), {});
     // The alternate at the second branch carries the first constraint plus
     // the negation of the second.
     ASSERT_NE(result.registered, 0u);
@@ -145,24 +151,27 @@ TEST(ExecTree, PathConditionAccumulates)
     ASSERT_NE(alternate, nullptr);
     ASSERT_EQ(alternate->path_condition.size(), 2u);
     EXPECT_TRUE(solver::Expr::Equal(alternate->path_condition[0], c1));
-    EXPECT_EQ(tree.current_path_condition().size(), 2u);
+    EXPECT_EQ(cursor.path_condition().size(), 2u);
 }
 
 TEST(ExecTree, TakePendingAndMarkInfeasible)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
-    tree.BeginRun();
-    auto result = tree.Advance(7, true, cond, solver::MakeBoolNot(cond));
+    tree.BeginRun(cursor);
+    auto result = tree.Advance(cursor, 7, true,
+                               cond, solver::MakeBoolNot(cond), {});
     const StateId id = result.registered;
     AlternateState state = tree.TakePending(id);
     EXPECT_TRUE(tree.pending().empty());
     tree.MarkInfeasible(state);
     // Re-running the same branch direction must not re-register the
     // infeasible direction.
-    tree.BeginRun();
-    auto again = tree.Advance(7, true, cond, solver::MakeBoolNot(cond));
+    tree.BeginRun(cursor);
+    auto again = tree.Advance(cursor, 7, true,
+                              cond, solver::MakeBoolNot(cond), {});
     EXPECT_EQ(again.registered, 0u);
 }
 

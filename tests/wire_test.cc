@@ -219,6 +219,7 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         request.service.plateau_policy.cancel_after = rng.Next() % 9;
         request.service.engine_threads =
             static_cast<uint32_t>(1 + rng.Next() % 4);
+        request.service.core_budget = rng.Next() % 16;
         const size_t jobs = 1 + rng.Next() % 5;
         for (size_t i = 0; i < jobs; ++i) {
             WireJob job;
@@ -241,6 +242,7 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
                   request.service.num_workers);
         EXPECT_EQ(decoded.service.engine_threads,
                   request.service.engine_threads);
+        EXPECT_EQ(decoded.service.core_budget, request.service.core_budget);
         EXPECT_EQ(decoded.service.schedule_policy,
                   request.service.schedule_policy);
         EXPECT_EQ(decoded.service.plateau_policy.enabled,
