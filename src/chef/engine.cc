@@ -1,6 +1,7 @@
 #include "chef/engine.h"
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -122,6 +123,16 @@ class RoundPool
     bool stop_ = false;
 };
 
+/// The session solver's options minus the attribution profiler, which
+/// only the driver thread may charge.
+solver::Solver::Options
+WorkerSolverOptionsFor(const Engine::Options& options)
+{
+    solver::Solver::Options solver_options = SolverOptionsFor(options);
+    solver_options.obs.attribution = nullptr;
+    return solver_options;
+}
+
 }  // namespace
 
 /// Per-exploration-thread context: own runtime used in recording mode,
@@ -130,7 +141,7 @@ class RoundPool
 /// batch-shared solver cache, if any, is shared).
 struct Engine::WorkerContext {
     explicit WorkerContext(Engine& engine)
-        : solver(SolverOptionsFor(engine.options_)),
+        : solver(WorkerSolverOptionsFor(engine.options_)),
           runtime(&engine.tree_, &solver,
                   lowlevel::LowLevelRuntime::Options{
                       engine.options_.max_steps_per_run,
@@ -152,6 +163,10 @@ struct Engine::RoundItem {
     lowlevel::RunStats run_stats;
     GuestOutcome outcome;
     solver::Assignment complete_inputs;
+    /// The worker solver's queries and solve time during the run (its
+    /// mid-run UpperBound calls), charged to the root location at commit.
+    uint64_t solver_queries = 0;
+    double solver_seconds = 0.0;
     bool ran = false;
 };
 
@@ -367,9 +382,7 @@ Engine::ExploreSerial(const RunFn& run)
             }
             const lowlevel::AlternateState state =
                 tree_.ClaimState(strategy_->ClaimState());
-            frontier_inspector_.RecordPick(
-                StrategyKindName(options_.strategy), state.static_hlpc,
-                state.depth);
+            ++strategy_picks_;
             solver::Assignment model;
             solver::QueryResult result;
             {
@@ -451,6 +464,17 @@ Engine::CommitRun(const RoundItem& item, double t_now,
         item.from_pending ? item.claimed.static_hlpc : 0,
         hl_info.is_new_path,
         item.run_stats.status == lowlevel::PathStatus::kAssumeViolated);
+    // Worker solvers run outside any ScopedLocation, so their queries
+    // belong to the root location, as a session solver's would.
+    obs::AttributionProfiler* solver_profiler =
+        solver_.options().obs.attribution;
+    if (solver_profiler != nullptr && item.solver_queries > 0) {
+        solver_profiler->Charge(0, obs::AttributionProfiler::kSolverQueries,
+                                item.solver_queries);
+        solver_profiler->Charge(
+            0, obs::AttributionProfiler::kSolverNanos,
+            static_cast<uint64_t>(std::llround(item.solver_seconds * 1e9)));
+    }
     if (item.from_pending) {
         tree_.CompleteClaim(item.claimed.id);
     }
@@ -562,12 +586,10 @@ Engine::ExploreRounds(const RunFn& run)
                 lowlevel::AlternateState state =
                     tree_.ClaimState(strategy_->ClaimState());
                 ++stats_.claims;
+                ++strategy_picks_;
                 if (m_par_claims_ != nullptr) {
                     m_par_claims_->Add();
                 }
-                frontier_inspector_.RecordPick(
-                    StrategyKindName(options_.strategy),
-                    state.static_hlpc, state.depth);
                 solver::Assignment model;
                 solver::QueryResult result;
                 {
@@ -617,6 +639,9 @@ Engine::ExploreRounds(const RunFn& run)
                 m_par_in_flight_->Add(1);
             }
             const auto run_start = Clock::now();
+            const uint64_t queries_before = context.solver.stats().queries;
+            const double seconds_before =
+                context.solver.stats().solve_seconds;
             context.runtime.BeginRecordedRun(item.assignment, &item.log);
             {
                 CHEF_OBS_SPAN(run_span, options_.obs.tracer,
@@ -625,6 +650,10 @@ Engine::ExploreRounds(const RunFn& run)
             }
             item.run_stats = context.runtime.EndRun();
             item.complete_inputs = CompleteInputsFor(context.runtime);
+            item.solver_queries =
+                context.solver.stats().queries - queries_before;
+            item.solver_seconds =
+                context.solver.stats().solve_seconds - seconds_before;
             item.ran = true;
             if (m_runs_ != nullptr) {
                 m_runs_->Add();
@@ -721,7 +750,10 @@ Engine::FinalizeStats(
         stats_.attribution = options_.obs.attribution->Snapshot();
     }
     stats_.frontier = tree_.SnapshotFrontier();
-    stats_.frontier.strategy_picks = frontier_inspector_.PickCounts();
+    if (strategy_picks_ > 0) {
+        stats_.frontier.strategy_picks[StrategyKindName(options_.strategy)] =
+            strategy_picks_;
+    }
 }
 
 }  // namespace chef

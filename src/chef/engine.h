@@ -27,6 +27,11 @@
 ///    canonically ordered, the produced test cases, fingerprints and stats
 ///    are bit-identical for any exploration_threads >= 2 (but not equal to
 ///    the serial loop's, whose selection interleaves differently).
+///
+/// The driver also owns the session's telemetry bookkeeping: it is the
+/// only thread that charges the attribution profiler (worker solvers run
+/// without one; their per-run query counts and solve time travel in the
+/// round item and are charged at commit) and it counts strategy picks.
 
 #include <chrono>
 #include <cstdint>
@@ -138,13 +143,13 @@ struct EngineStats {
     /// Per-location cost/yield table (obs/attribution.h). Empty unless
     /// Options::obs.attribution was set; the engine charges steps,
     /// forks, runs, assume-failures and new fingerprints on the serial
-    /// commit path (thread-count-invariant in round mode) and the
-    /// solver charges wall time per query, then FinalizeStats snapshots
-    /// the profiler here.
+    /// commit path (thread-count-invariant in round mode), the session
+    /// solver charges wall time per query, round-mode worker solvers'
+    /// queries and wall time are charged to the root location (hl_pc 0)
+    /// at commit, and FinalizeStats snapshots the profiler here.
     obs::AttributionSnapshot attribution;
     /// Frontier view at session end: pending depth histogram, tree
-    /// branching factor, lease ages, and per-strategy pick counts from
-    /// the strategy-decision audit ring.
+    /// branching factor, and the strategy's pick count.
     obs::FrontierSnapshot frontier;
 };
 
@@ -247,9 +252,11 @@ class Engine
     std::vector<TestCase> ExploreRounds(const RunFn& run);
 
     /// Serial commit of one recorded run: replays the log into the tree +
-    /// tracker, produces the test case or solves the assume-retry
-    /// assignment on the session solver, and updates stats. Returns true
-    /// if the commit produced an assume-retry assignment in *retry.
+    /// tracker, charges the run (and its worker solver's queries) to the
+    /// attribution profiler, produces the test case or solves the
+    /// assume-retry assignment on the session solver, and updates stats.
+    /// Returns true if the commit produced an assume-retry assignment in
+    /// *retry.
     bool CommitRun(const RoundItem& item, double t_now,
                    std::vector<TestCase>* test_cases,
                    solver::Assignment* retry);
@@ -288,9 +295,9 @@ class Engine
     hll::HlpcTracker tracker_;
     std::unique_ptr<cupa::SearchStrategy> strategy_;
     EngineStats stats_;
-    /// Strategy-decision audit ring (claims record strategy, hl_pc,
-    /// depth); folded into stats_.frontier at FinalizeStats.
-    obs::FrontierInspector frontier_inspector_;
+    /// States claimed through strategy_ (both loops); reported as
+    /// stats_.frontier.strategy_picks.
+    uint64_t strategy_picks_ = 0;
     /// High-water mark over announced state ids: ReleaseClaim
     /// re-announces a state through the state-added hook, so fork
     /// charges fire only for ids above the mark (exactly once per

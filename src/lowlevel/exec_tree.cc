@@ -1,7 +1,5 @@
 #include "lowlevel/exec_tree.h"
 
-#include <algorithm>
-
 #include "support/diagnostics.h"
 
 namespace chef::lowlevel {
@@ -118,7 +116,7 @@ AlternateState
 ExecutionTree::ClaimState(StateId id)
 {
     AlternateState state = TakePending(id);
-    in_flight_.emplace(id, std::chrono::steady_clock::now());
+    in_flight_.insert(id);
     return state;
 }
 
@@ -170,7 +168,6 @@ ExecutionTree::SnapshotFrontier() const
 {
     obs::FrontierSnapshot frontier;
     frontier.pending = pending_.size();
-    frontier.in_flight = in_flight_.size();
     // Exclude the root sentinel: it is not a branch site.
     frontier.nodes = nodes_.empty() ? 0 : nodes_.size() - 1;
     for (const auto& [id, state] : pending_) {
@@ -190,20 +187,6 @@ ExecutionTree::SnapshotFrontier() const
             ? 0.0
             : static_cast<double>(children) /
                   static_cast<double>(branch_nodes);
-    const auto now = std::chrono::steady_clock::now();
-    double age_sum = 0.0;
-    for (const auto& [id, since] : in_flight_) {
-        (void)id;
-        const double age =
-            std::chrono::duration<double>(now - since).count();
-        age_sum += age;
-        frontier.lease_age_max_seconds =
-            std::max(frontier.lease_age_max_seconds, age);
-    }
-    frontier.lease_age_mean_seconds =
-        in_flight_.empty()
-            ? 0.0
-            : age_sum / static_cast<double>(in_flight_.size());
     return frontier;
 }
 

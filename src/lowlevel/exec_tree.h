@@ -22,12 +22,13 @@
 /// loop); leased states are out of the pending pool and therefore excluded
 /// from further selection until the driver either commits the run that
 /// explores them (CompleteClaim), proves them infeasible (MarkInfeasible),
-/// or hands them back (ReleaseClaim).
+/// or hands them back (ReleaseClaim). A lease is just the state's id in
+/// the in-flight set; claiming reads no clock.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/attribution.h"
@@ -200,10 +201,9 @@ class ExecutionTree
     uint64_t total_registered() const { return next_state_id_ - 1; }
 
     /// Point-in-time frontier view (obs/attribution.h): pending count
-    /// and depth histogram, in-flight lease count and ages, node count,
-    /// and the tree's mean branching factor. strategy_picks is left
-    /// empty — the engine owns the strategy-decision audit ring and
-    /// fills it in.
+    /// and depth histogram, node count, and the tree's mean branching
+    /// factor. strategy_picks is left empty — the engine owns the
+    /// strategy and fills it in.
     obs::FrontierSnapshot SnapshotFrontier() const;
 
     /// Observer invoked whenever a pending state disappears from the pool
@@ -232,9 +232,8 @@ class ExecutionTree
 
     std::vector<Node> nodes_;
     std::unordered_map<StateId, AlternateState> pending_;
-    /// Leased states with their claim times (frontier lease ages).
-    std::unordered_map<StateId, std::chrono::steady_clock::time_point>
-        in_flight_;
+    /// Leased states (claimed, not yet resolved).
+    std::unordered_set<StateId> in_flight_;
     StateId next_state_id_ = 1;
     uint64_t states_overtaken_ = 0;
     std::function<void(StateId)> on_pending_removed_;

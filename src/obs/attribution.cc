@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "support/json.h"
 
@@ -10,18 +12,15 @@ namespace chef::obs {
 
 namespace {
 
-/// splitmix64 finalizer: hl_pc values are small and clustered, so the
-/// raw key would pile probes into one corner of the table.
-uint64_t
-MixKey(uint64_t key)
-{
-    key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ULL;
-    key ^= key >> 27;
-    key *= 0x94d049bb133111ebULL;
-    key ^= key >> 31;
-    return key;
-}
+/// Row column charged by each CounterKind.
+constexpr uint64_t AttributionRow::*kCounterColumns[] = {
+    &AttributionRow::solver_nanos,     &AttributionRow::solver_queries,
+    &AttributionRow::steps,            &AttributionRow::forks,
+    &AttributionRow::assume_failures,  &AttributionRow::new_fingerprints,
+    &AttributionRow::runs,
+};
+static_assert(std::size(kCounterColumns) ==
+              AttributionProfiler::kCounterKinds);
 
 thread_local uint64_t t_ambient_hlpc = 0;
 
@@ -30,16 +29,9 @@ thread_local uint64_t t_ambient_hlpc = 0;
 // ---------------------------------------------------------------------------
 // AttributionSnapshot
 
-bool
-AttributionSnapshot::empty() const
-{
-    return workloads.empty() && dropped_locations == 0;
-}
-
 void
 AttributionSnapshot::MergeFrom(const AttributionSnapshot& other)
 {
-    dropped_locations += other.dropped_locations;
     for (const auto& [workload, table] : other.workloads) {
         std::map<uint64_t, AttributionRow>& mine = workloads[workload];
         for (const auto& [hl_pc, row] : table) {
@@ -121,147 +113,42 @@ AttributionCountsEqual(const AttributionSnapshot& a,
 // AttributionProfiler
 
 AttributionProfiler::AttributionProfiler(std::string workload)
-    : workload_(std::move(workload)),
-      stripes_(new Stripe[kMetricStripes])
+    : workload_(std::move(workload))
 {
-}
-
-AttributionProfiler::Cell*
-AttributionProfiler::FindCell(Stripe& stripe, uint64_t key)
-{
-    const uint64_t mask = kAttributionCellsPerStripe - 1;
-    const uint64_t start = MixKey(key) & mask;
-    for (size_t probe = 0; probe < kAttributionCellsPerStripe; ++probe) {
-        Cell& cell = stripe.cells[(start + probe) & mask];
-        uint64_t current = cell.key.load(std::memory_order_acquire);
-        if (current == key) {
-            return &cell;
-        }
-        if (current == kEmptyKey) {
-            if (cell.key.compare_exchange_strong(
-                    current, key, std::memory_order_acq_rel)) {
-                return &cell;
-            }
-            if (current == key) {  // Lost the race to ourselves-by-key.
-                return &cell;
-            }
-        }
-    }
-    return nullptr;  // Stripe full; the caller spills to a sibling.
-}
-
-AttributionProfiler::Cell*
-AttributionProfiler::LocateCell(uint64_t key, Stripe** home)
-{
-    const size_t start = ThisThreadStripe();
-    *home = &stripes_[start];
-    for (size_t i = 0; i < kMetricStripes; ++i) {
-        Cell* cell =
-            FindCell(stripes_[(start + i) % kMetricStripes], key);
-        if (cell != nullptr) {
-            return cell;
-        }
-    }
-    return nullptr;  // Every stripe full; overflow aggregate it is.
 }
 
 void
 AttributionProfiler::Charge(uint64_t hl_pc, CounterKind kind,
                             uint64_t delta)
 {
-    Stripe* home = nullptr;
-    Cell* cell = LocateCell(hl_pc, &home);
-    if (cell == nullptr) {
-        home->dropped.fetch_add(delta, std::memory_order_relaxed);
-        cell = &home->overflow;
-    }
-    cell->counts[kind].fetch_add(delta, std::memory_order_relaxed);
+    rows_[hl_pc].*kCounterColumns[kind] += delta;
 }
 
 void
 AttributionProfiler::ChargeWithParent(uint64_t hl_pc, uint64_t parent,
                                       CounterKind kind, uint64_t delta)
 {
-    Stripe* home = nullptr;
-    Cell* cell = LocateCell(hl_pc, &home);
-    if (cell == nullptr) {
-        home->dropped.fetch_add(delta, std::memory_order_relaxed);
-        cell = &home->overflow;
-    } else if (parent != kAttributionNoParent && parent != hl_pc) {
-        uint64_t expected = kAttributionNoParent;
-        cell->parent.compare_exchange_strong(expected, parent,
-                                             std::memory_order_relaxed);
+    AttributionRow& row = rows_[hl_pc];
+    if (row.parent == kAttributionNoParent && parent != hl_pc) {
+        row.parent = parent;
     }
-    cell->counts[kind].fetch_add(delta, std::memory_order_relaxed);
+    row.*kCounterColumns[kind] += delta;
 }
 
 void
 AttributionProfiler::ChargeSolver(uint64_t nanos)
 {
-    Stripe* home = nullptr;
-    Cell* cell = LocateCell(t_ambient_hlpc, &home);
-    if (cell == nullptr) {
-        home->dropped.fetch_add(1, std::memory_order_relaxed);
-        cell = &home->overflow;
-    }
-    cell->counts[kSolverNanos].fetch_add(nanos,
-                                         std::memory_order_relaxed);
-    cell->counts[kSolverQueries].fetch_add(1, std::memory_order_relaxed);
+    AttributionRow& row = rows_[t_ambient_hlpc];
+    row.solver_nanos += nanos;
+    ++row.solver_queries;
 }
 
 AttributionSnapshot
 AttributionProfiler::Snapshot() const
 {
     AttributionSnapshot snapshot;
-    std::map<uint64_t, AttributionRow>& table =
-        snapshot.workloads[workload_];
-    const auto fold = [&table](uint64_t key, const Cell& cell) {
-        AttributionRow& row = table[key];
-        row.solver_nanos +=
-            cell.counts[kSolverNanos].load(std::memory_order_relaxed);
-        row.solver_queries +=
-            cell.counts[kSolverQueries].load(std::memory_order_relaxed);
-        row.steps += cell.counts[kSteps].load(std::memory_order_relaxed);
-        row.forks += cell.counts[kForks].load(std::memory_order_relaxed);
-        row.assume_failures +=
-            cell.counts[kAssumeFailures].load(std::memory_order_relaxed);
-        row.new_fingerprints +=
-            cell.counts[kNewFingerprints].load(std::memory_order_relaxed);
-        row.runs += cell.counts[kRuns].load(std::memory_order_relaxed);
-        row.parent = std::min(
-            row.parent, cell.parent.load(std::memory_order_relaxed));
-    };
-    for (size_t s = 0; s < kMetricStripes; ++s) {
-        const Stripe& stripe = stripes_[s];
-        for (const Cell& cell : stripe.cells) {
-            const uint64_t key = cell.key.load(std::memory_order_acquire);
-            if (key != kEmptyKey) {
-                fold(key, cell);
-            }
-        }
-        uint64_t overflow_total = 0;
-        for (const auto& count : stripe.overflow.counts) {
-            overflow_total += count.load(std::memory_order_relaxed);
-        }
-        if (overflow_total > 0) {
-            fold(kAttributionOverflowHlPc, stripe.overflow);
-        }
-        snapshot.dropped_locations +=
-            stripe.dropped.load(std::memory_order_relaxed);
-    }
-    // Never-charged cells can appear when a CAS claimed a key but the
-    // charging add has not landed yet; drop all-zero rows so snapshots
-    // of quiescent profilers are stable.
-    for (auto it = table.begin(); it != table.end();) {
-        if (it->second.TotalCharges() == 0 &&
-            it->second.solver_nanos == 0) {
-            it = table.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    if (table.empty()) {
-        snapshot.workloads.erase(workload_);
+    if (!rows_.empty()) {
+        snapshot.workloads[workload_].insert(rows_.begin(), rows_.end());
     }
     return snapshot;
 }
@@ -300,37 +187,6 @@ FrontierSnapshot::DepthBucket(uint32_t depth)
     return bucket;
 }
 
-void
-FrontierInspector::RecordPick(const char* strategy, uint64_t hl_pc,
-                              uint32_t depth)
-{
-    Pick& slot = ring_[next_seq_ % kFrontierPickRing];
-    slot.seq = next_seq_++;
-    slot.hl_pc = hl_pc;
-    slot.depth = depth;
-    slot.strategy = strategy;
-    ++counts_[strategy == nullptr ? "" : strategy];
-}
-
-std::vector<FrontierInspector::Pick>
-FrontierInspector::RecentPicks() const
-{
-    std::vector<Pick> picks;
-    const uint64_t count =
-        next_seq_ < kFrontierPickRing ? next_seq_ : kFrontierPickRing;
-    picks.reserve(count);
-    for (uint64_t i = next_seq_ - count; i < next_seq_; ++i) {
-        picks.push_back(ring_[i % kFrontierPickRing]);
-    }
-    return picks;
-}
-
-std::map<std::string, uint64_t>
-FrontierInspector::PickCounts() const
-{
-    return counts_;
-}
-
 // ---------------------------------------------------------------------------
 // Serialization and rendering
 
@@ -339,7 +195,6 @@ WriteAttributionSnapshot(support::JsonWriter& json,
                          const AttributionSnapshot& snapshot)
 {
     json.BeginObject();
-    json.Key("dropped_locations"), json.Value(snapshot.dropped_locations);
     json.Key("workloads"), json.BeginArray();
     for (const auto& [workload, table] : snapshot.workloads) {
         json.BeginObject();
@@ -373,8 +228,6 @@ DecodeAttributionSnapshot(const support::JsonValue& object,
                           std::string* error)
 {
     snapshot->workloads.clear();
-    snapshot->dropped_locations = 0;
-    object.GetUint64("dropped_locations", &snapshot->dropped_locations);
     const support::JsonValue* workloads = object.Find("workloads");
     if (workloads == nullptr ||
         workloads->kind != support::JsonValue::Kind::kArray) {
@@ -546,38 +399,6 @@ RenderHotLocations(const AttributionSnapshot& snapshot, size_t top_n)
         AppendHotTable(&out, yielding, top_n);
     }
     return out;
-}
-
-void
-WriteFrontierSnapshot(support::JsonWriter& json,
-                      const FrontierSnapshot& frontier)
-{
-    json.BeginObject();
-    json.Key("pending"), json.Value(frontier.pending);
-    json.Key("in_flight"), json.Value(frontier.in_flight);
-    json.Key("nodes"), json.Value(frontier.nodes);
-    json.Key("mean_branching"), json.Value(frontier.mean_branching);
-    json.Key("lease_age_max_seconds"),
-        json.Value(frontier.lease_age_max_seconds);
-    json.Key("lease_age_mean_seconds"),
-        json.Value(frontier.lease_age_mean_seconds);
-    json.Key("depth_histogram"), json.BeginArray();
-    for (size_t bucket = 0; bucket < kFrontierDepthBuckets; ++bucket) {
-        if (frontier.depth_histogram[bucket] == 0) {
-            continue;
-        }
-        json.BeginArray();
-        json.Value(bucket);
-        json.Value(frontier.depth_histogram[bucket]);
-        json.EndArray();
-    }
-    json.EndArray();
-    json.Key("strategy_picks"), json.BeginObject();
-    for (const auto& [strategy, picks] : frontier.strategy_picks) {
-        json.Key(strategy.c_str()), json.Value(picks);
-    }
-    json.EndObject();
-    json.EndObject();
 }
 
 }  // namespace chef::obs

@@ -3,7 +3,7 @@
 
 /// \file
 /// The exploration attribution profiler: per-location cost/yield
-/// accounting over the high-level PC space, plus frontier introspection.
+/// accounting over the high-level PC space, plus the frontier snapshot.
 ///
 /// The telemetry layers below (metrics, traces, time series) say how
 /// much the system spends; this layer says *where in the guest program*
@@ -13,48 +13,39 @@
 /// "why is this workload plateauing" becomes a table lookup instead of
 /// guesswork.
 ///
-/// Design constraints mirror obs/metrics.h:
+/// Ownership: one profiler per job, owned and charged by that job's
+/// engine driver thread — the same thread that owns the execution tree
+/// and the search strategy. It is a plain hash map from hl_pc to row,
+/// not thread-safe. Round-mode worker solvers never see it; the driver
+/// charges their query counts and solve time to the root location when
+/// it commits their runs.
 ///
-///  1. The charge path is wait-free and allocation-free: one stripe per
-///     thread group (obs::ThisThreadStripe), each stripe an
-///     open-addressed fixed-capacity table of cache-friendly cells whose
-///     key slot is claimed with a single CAS and whose counters are
-///     relaxed atomic adds. A full stripe spills into sibling stripes
-///     (Snapshot folds stripes by key, so spilled charges merge back
-///     exactly); only when every stripe is full do charges fold into a
-///     per-stripe overflow aggregate cell, so totals stay exact even
-///     then (dropped_locations counts the redirected charges).
-///  2. Reads are point-in-time snapshots: Snapshot() sums stripes into a
-///     plain value type (AttributionSnapshot) that merges
-///     order-independently and serializes through support/json — the
-///     same lifecycle as MetricsSnapshot, so the shard wire and the
-///     merged report carry it with the established idioms.
-///  3. Charging is ambient-location based where the caller cannot know
-///     the location: Solver::Solve charges the thread-local location
-///     installed by the innermost ScopedLocation (the engine brackets
-///     every Solve call site with the hl_pc of the state being solved).
+/// Reads are point-in-time snapshots: Snapshot() copies the table into a
+/// plain value type (AttributionSnapshot) that merges
+/// order-independently and serializes through support/json — the same
+/// lifecycle as MetricsSnapshot, so the shard wire and the merged report
+/// carry it with the established idioms.
 ///
-/// Parent links: the first charge that creates a location's cell may
-/// record a *discovery predecessor* (the hl_pc observed immediately
-/// before it in the interpreter trace). Walking parent links yields the
-/// folded-stack lines (`workload;0xroot;...;0xleaf value`) that standard
-/// flamegraph tools consume (RenderAttributionFoldedStacks).
+/// Solver time is charged at an ambient location: Solver::Solve charges
+/// the thread-local location installed by the innermost ScopedLocation
+/// (the engine brackets every Solve call site with the hl_pc of the
+/// state being solved).
 ///
-/// FrontierInspector + FrontierSnapshot cover the other half of the
-/// question — not where past work went, but what the strategy is *about
-/// to* do: pending-state depth histogram, tree branching factor,
-/// in-flight lease ages, and per-strategy pick counts from a bounded
-/// strategy-decision audit ring.
+/// Parent links: the first charge that records a *discovery predecessor*
+/// (the hl_pc observed immediately before a location in the interpreter
+/// trace) wins. Walking parent links yields the folded-stack lines
+/// (`workload;0xroot;...;0xleaf value`) that standard flamegraph tools
+/// consume (RenderAttributionFoldedStacks).
+///
+/// FrontierSnapshot covers the other half of the question — not where
+/// past work went, but what the strategy is *about to* do: pending-state
+/// depth histogram, tree branching factor, and per-strategy pick counts.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "obs/metrics.h"
+#include <unordered_map>
 
 namespace chef::support {
 class JsonWriter;
@@ -62,17 +53,6 @@ struct JsonValue;
 }  // namespace chef::support
 
 namespace chef::obs {
-
-/// Cells per stripe. Guest programs expose hundreds of high-level
-/// locations; a thread whose stripe fills spills into sibling stripes
-/// (kMetricStripes x this many cells in total per profiler), and only a
-/// completely full table folds charges into the overflow pseudo
-/// location below — nothing is lost either way.
-constexpr size_t kAttributionCellsPerStripe = 256;
-
-/// Reserved hl_pc for the per-stripe overflow aggregate. Real high-level
-/// PCs are interpreter line/opcode addresses and never reach this value.
-constexpr uint64_t kAttributionOverflowHlPc = UINT64_MAX - 1;
 
 /// "No discovery predecessor recorded" sentinel for AttributionRow::parent.
 constexpr uint64_t kAttributionNoParent = UINT64_MAX;
@@ -87,8 +67,8 @@ struct AttributionRow {
     uint64_t assume_failures = 0;   ///< Assumption-violation retries.
     uint64_t new_fingerprints = 0;  ///< New HL path fingerprints (yield).
     uint64_t runs = 0;              ///< Concolic runs originating here.
-    /// Discovery predecessor (hl_pc observed immediately before this
-    /// location's first charge), or kAttributionNoParent.
+    /// Discovery predecessor (the first recorded hl_pc observed
+    /// immediately before this location), or kAttributionNoParent.
     uint64_t parent = kAttributionNoParent;
 
     uint64_t TotalCharges() const
@@ -107,11 +87,8 @@ struct AttributionSnapshot {
     /// workload -> hl_pc -> row. std::map keeps serialization
     /// deterministic (sorted) regardless of accumulation order.
     std::map<std::string, std::map<uint64_t, AttributionRow>> workloads;
-    /// Charges redirected to the overflow pseudo location because a
-    /// stripe's cell table was full.
-    uint64_t dropped_locations = 0;
 
-    bool empty() const;
+    bool empty() const { return workloads.empty(); }
 
     /// Name-keyed, order- and grouping-independent merge: counters sum;
     /// parent links resolve to the smallest recorded parent (a pure
@@ -128,14 +105,14 @@ struct AttributionSnapshot {
 /// True when the two snapshots agree on every deterministic column:
 /// same workloads, same locations, and equal solver_queries / steps /
 /// forks / assume_failures / new_fingerprints / runs per location.
-/// solver_nanos (wall time) and dropped_locations are excluded — wall
-/// time varies run to run even when exploration is bit-identical.
+/// solver_nanos (wall time) is excluded — it varies run to run even
+/// when exploration is bit-identical.
 bool AttributionCountsEqual(const AttributionSnapshot& a,
                             const AttributionSnapshot& b);
 
-/// The per-job profiler. Bound to one workload; every charge lands in
-/// this thread's stripe with one CAS-claimed cell lookup plus relaxed
-/// atomic adds (no locks, no allocation).
+/// The per-job profiler. Bound to one workload and owned by one thread
+/// (the engine's driver): every charge is one hash lookup plus an add,
+/// allocating only the first time a location is charged.
 class AttributionProfiler
 {
   public:
@@ -154,7 +131,7 @@ class AttributionProfiler
 
     const std::string& workload() const { return workload_; }
 
-    /// Charges \p delta of \p kind to \p hl_pc. Wait-free.
+    /// Charges \p delta of \p kind to \p hl_pc.
     void Charge(uint64_t hl_pc, CounterKind kind, uint64_t delta = 1);
 
     /// Charge that additionally records \p parent as the discovery
@@ -171,31 +148,8 @@ class AttributionProfiler
     AttributionSnapshot Snapshot() const;
 
   private:
-    struct Cell {
-        std::atomic<uint64_t> key{kEmptyKey};
-        std::atomic<uint64_t> parent{kAttributionNoParent};
-        std::array<std::atomic<uint64_t>, kCounterKinds> counts{};
-    };
-    struct alignas(64) Stripe {
-        std::array<Cell, kAttributionCellsPerStripe> cells{};
-        Cell overflow{};
-        std::atomic<uint64_t> dropped{0};
-    };
-
-    static constexpr uint64_t kEmptyKey = UINT64_MAX;
-
-    /// Finds or CAS-claims the cell for \p key in \p stripe; null when
-    /// the stripe is full.
-    Cell* FindCell(Stripe& stripe, uint64_t key);
-
-    /// Finds or claims \p key's cell, probing this thread's stripe
-    /// first and spilling into sibling stripes when it is full. Fills
-    /// \p home with the thread's own stripe (for overflow accounting);
-    /// returns null only when every stripe is full.
-    Cell* LocateCell(uint64_t key, Stripe** home);
-
     std::string workload_;
-    std::unique_ptr<Stripe[]> stripes_;
+    std::unordered_map<uint64_t, AttributionRow> rows_;
 };
 
 /// Installs \p hl_pc as this thread's ambient attribution location for
@@ -228,63 +182,25 @@ uint64_t CurrentAmbientLocation();
 /// the tail.
 constexpr size_t kFrontierDepthBuckets = 16;
 
-/// Point-in-time view of the exploration frontier: what is pending,
-/// what is leased out, and how the strategy has been picking.
+/// Point-in-time view of the exploration frontier: what is pending and
+/// how the strategy has been picking.
 struct FrontierSnapshot {
-    uint64_t pending = 0;    ///< States awaiting selection.
-    uint64_t in_flight = 0;  ///< States leased to workers.
-    uint64_t nodes = 0;      ///< Branch nodes in the low-level tree.
+    uint64_t pending = 0;  ///< States awaiting selection.
+    uint64_t nodes = 0;    ///< Branch nodes in the low-level tree.
     std::array<uint64_t, kFrontierDepthBuckets> depth_histogram{};
     /// Mean explored children per non-leaf branch node.
     double mean_branching = 0.0;
-    /// Ages of outstanding leases at snapshot time, seconds.
-    double lease_age_max_seconds = 0.0;
-    double lease_age_mean_seconds = 0.0;
     /// strategy name -> states claimed through it.
     std::map<std::string, uint64_t> strategy_picks;
 
     static size_t DepthBucket(uint32_t depth);
 };
 
-/// Bounded audit ring over strategy decisions: every successful claim
-/// records (strategy, hl_pc, depth). The ring keeps the most recent
-/// kFrontierPickRing entries for inspection; totals per strategy are
-/// kept exactly. Not thread-safe: the engine's driver thread, which owns
-/// the strategy, is its only caller.
-constexpr size_t kFrontierPickRing = 256;
-
-class FrontierInspector
-{
-  public:
-    struct Pick {
-        uint64_t seq = 0;
-        uint64_t hl_pc = 0;
-        uint32_t depth = 0;
-        /// Stable string (a literal or interned name owned by the
-        /// caller's strategy); the ring never copies it.
-        const char* strategy = nullptr;
-    };
-
-    void RecordPick(const char* strategy, uint64_t hl_pc, uint32_t depth);
-
-    /// Most recent picks, oldest first.
-    std::vector<Pick> RecentPicks() const;
-
-    /// Exact per-strategy totals over the whole run (not just the ring).
-    std::map<std::string, uint64_t> PickCounts() const;
-
-  private:
-    std::array<Pick, kFrontierPickRing> ring_{};
-    uint64_t next_seq_ = 0;
-    std::map<std::string, uint64_t> counts_;
-};
-
 // ---------------------------------------------------------------------------
 // Serialization and rendering
 
 /// Serializes a snapshot as one JSON object:
-///   {"dropped_locations":n,
-///    "workloads":[{"workload":w,"locations":[
+///   {"workloads":[{"workload":w,"locations":[
 ///        {"hl_pc":"0x..","parent":"0x..",...counters...},...]},...]}
 /// hl_pc and parent use the hex-string convention for 64-bit
 /// identities; "parent" is omitted when no predecessor was recorded.
@@ -313,10 +229,6 @@ std::string RenderAttributionFoldedStacks(
 /// an empty snapshot.
 std::string RenderHotLocations(const AttributionSnapshot& snapshot,
                                size_t top_n);
-
-/// Serializes a frontier snapshot (report use; nothing decodes it).
-void WriteFrontierSnapshot(support::JsonWriter& json,
-                           const FrontierSnapshot& frontier);
 
 }  // namespace chef::obs
 

@@ -32,7 +32,9 @@ struct ObsContext {
     TimeSeriesRecorder* timeseries = nullptr;
     /// Per-location cost/yield accounting (see obs/attribution.h).
     /// Installed per job by ExplorationService::RunJob; Solver::Solve
-    /// charges wall time to the ambient location through it.
+    /// charges wall time to the ambient location through it. Not
+    /// thread-safe: one profiler serves one engine session, charged
+    /// only from its driver thread.
     AttributionProfiler* attribution = nullptr;
 
     bool metrics_enabled() const { return metrics != nullptr; }

@@ -119,7 +119,6 @@ struct JobEvent {
         kJobStarted,    ///< A worker began running the job.
         kJobCompleted,  ///< The job reached a terminal status.
         kBatchProgress, ///< Snapshot emitted after each completion.
-        kMetrics,       ///< Periodic metrics snapshot (metrics_json).
     };
     Kind kind = Kind::kJobStarted;
     size_t job_index = 0;
@@ -141,13 +140,6 @@ struct JobEvent {
     size_t jobs_total = 0;
     size_t corpus_size = 0;
     double elapsed_seconds = 0.0;
-    /// kMetrics only: a rendered obs::MetricsSnapshot (the
-    /// WriteMetricsSnapshot schema). Kept as JSON text so the event type
-    /// stays cheap to copy for the common kinds. Emitted after a job
-    /// completion once Options::metrics_interval_seconds has elapsed
-    /// since the previous snapshot — piggybacked, no extra ticker thread,
-    /// so granularity is bounded by job duration.
-    std::string metrics_json;
 };
 
 const char* JobEventKindName(JobEvent::Kind kind);

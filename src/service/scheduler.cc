@@ -24,7 +24,6 @@ JobEventKindName(JobEvent::Kind kind)
       case JobEvent::Kind::kJobStarted: return "job_started";
       case JobEvent::Kind::kJobCompleted: return "job_completed";
       case JobEvent::Kind::kBatchProgress: return "batch_progress";
-      case JobEvent::Kind::kMetrics: return "metrics";
     }
     return "?";
 }

@@ -13,7 +13,6 @@
 #include "obs/attribution.h"
 #include "obs/obs.h"
 #include "obs/timeseries.h"
-#include "support/json.h"
 #include "support/strings.h"
 #include "workloads/registry.h"
 
@@ -196,6 +195,8 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
     if (engine_options.obs.metrics == nullptr &&
         engine_options.obs.tracer == nullptr) {
         engine_options.obs = options_.obs;
+        // Profilers are single-threaded: concurrent jobs never share one.
+        engine_options.obs.attribution = nullptr;
     }
     // One profiler per job, bound to the job's workload. Stack-owned:
     // the engine snapshots it into its stats before Explore returns,
@@ -318,7 +319,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // batch; left set it would silently cancel every job here (the
     // serial-reuse footgun). Stops raised after this line — i.e. during
     // the batch — behave as documented.
-    ClearStop();
+    stop_.store(false, std::memory_order_relaxed);
 
     // One shared solver cache per batch (when enabled): jobs in a batch
     // overlap heavily, across batches the workload may change entirely.
@@ -375,13 +376,6 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // events that snapshot it, so streamed kBatchProgress events are
     // monotone in jobs_finished even when workers complete back-to-back.
     std::mutex completion_order_mutex;
-    // Periodic kMetrics emission is piggybacked on job completions: the
-    // completing worker that first observes the interval elapsed wins the
-    // CAS and renders one snapshot. No ticker thread, so cadence is
-    // bounded below by job duration.
-    std::atomic<double> last_metrics_emit{0.0};
-    const bool metrics_events = options_.obs.metrics != nullptr &&
-                                options_.metrics_interval_seconds > 0.0;
     auto emit = [&](JobEvent event) {
         if (!streaming) {
             return;
@@ -548,24 +542,6 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
             progress.jobs_finished = finished;
             emit(std::move(progress));
             completion_order.unlock();
-            if (streaming && metrics_events) {
-                const double now = SecondsSince(batch_start);
-                double last =
-                    last_metrics_emit.load(std::memory_order_relaxed);
-                if (now - last >= options_.metrics_interval_seconds &&
-                    last_metrics_emit.compare_exchange_strong(last, now)) {
-                    support::JsonWriter json;
-                    obs::WriteMetricsSnapshot(
-                        json, options_.obs.metrics->Snapshot());
-                    JobEvent metrics;
-                    metrics.kind = JobEvent::Kind::kMetrics;
-                    metrics.job_index = index;
-                    metrics.workload = result.workload;
-                    metrics.jobs_finished = finished;
-                    metrics.metrics_json = json.Take();
-                    emit(std::move(metrics));
-                }
-            }
         }
     };
 

@@ -110,20 +110,14 @@ class ExplorationService
         /// Telemetry (obs/obs.h). Propagated into every job's engine (and
         /// through it the solver) unless the spec wired its own context.
         /// The service itself emits service/job spans and service.jobs_*
-        /// counters, and — when metrics_interval_seconds is set and
-        /// events are streaming — periodic kMetrics JobEvents carrying a
-        /// rendered registry snapshot.
+        /// counters.
         obs::ObsContext obs;
-        /// Cadence for streamed kMetrics events, in seconds. 0 disables
-        /// them. Snapshots are taken on the worker that completes a job
-        /// once the interval has elapsed (no dedicated ticker thread).
-        double metrics_interval_seconds = 0.0;
         /// Per-location attribution profiling (obs/attribution.h): each
         /// job gets a profiler bound to its workload, the engine and
         /// solver charge work to high-level locations through it, and
         /// the per-job tables land in JobResult::engine_stats and the
         /// service-wide aggregate (attribution()). On by default — the
-        /// hot path is a couple of relaxed atomic adds per charge (see
+        /// hot path is one hash lookup and an add per charge (see
         /// bench_scheduler's overhead phase).
         bool attribution = true;
     };
@@ -144,11 +138,6 @@ class ExplorationService
     /// flag only affects the batch in flight: RunBatch clears any stop
     /// raised before it started.
     void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
-
-    /// Re-arms a service that was stopped. Retained for callers that want
-    /// to clear a stop between RequestStop() and the next batch
-    /// explicitly; RunBatch does this itself at entry.
-    void ClearStop() { stop_.store(false, std::memory_order_relaxed); }
 
     bool stop_requested() const
     {

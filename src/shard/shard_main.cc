@@ -1043,9 +1043,11 @@ RunCoordinator(const CliOptions& options, const char* argv0)
     }
 
     // 1c. With --stats-out: the stream on disk is valid NDJSON — every
-    //     line strict-parses with the per-sample schema — and at least 5
-    //     samples arrived (2 shards at a 100 ms cadence cross that in
-    //     well under a second of batch time).
+    //     line strict-parses with the per-sample schema — and every live
+    //     shard's samples arrived: RunBatch records a start and a final
+    //     sample plus one per elapsed interval, so a shard whose batch
+    //     ran wall_seconds owes 2 + max(0, floor(wall / interval) - 1)
+    //     (one interval of slack for a tick racing the final sample).
     if (!options.stats_path.empty()) {
         std::string ndjson;
         size_t valid_lines = 0;
@@ -1106,7 +1108,22 @@ RunCoordinator(const CliOptions& options, const char* argv0)
             }
             // A degraded run can cut sample volume (a shard died early),
             // but every shard death must have left an event record.
-            const size_t need_samples = coordinator.degraded() ? 1 : 5;
+            // --stats-out always sets a positive sampling interval.
+            const double interval =
+                coordinator_options.service.metrics_interval_seconds;
+            size_t need_samples = 1;
+            if (!coordinator.degraded()) {
+                need_samples = 0;
+                for (const ShardCoordinator::ShardOutcome& shard :
+                     coordinator.shards()) {
+                    if (!shard.dead) {
+                        const double intervals =
+                            std::floor(shard.stats.wall_seconds / interval);
+                        need_samples += 2 + static_cast<size_t>(
+                                                std::max(0.0, intervals - 1));
+                    }
+                }
+            }
             const bool events_accounted =
                 event_lines >=
                 static_cast<size_t>(coordinator.fault().deaths);

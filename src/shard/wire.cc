@@ -553,7 +553,6 @@ ServiceConfig::ToServiceOptions() const
     options.share_solver_cache = share_solver_cache;
     options.schedule_policy = schedule_policy;
     options.plateau_policy = plateau_policy;
-    options.metrics_interval_seconds = metrics_interval_seconds;
     options.engine_threads = engine_threads;
     options.core_budget = core_budget;
     // Options::obs is deliberately left null: telemetry scopes never
@@ -575,7 +574,6 @@ ServiceConfig::FromServiceOptions(
     config.schedule_policy = options.schedule_policy;
     config.plateau_policy = options.plateau_policy;
     config.tracing = options.obs.tracing_enabled();
-    config.metrics_interval_seconds = options.metrics_interval_seconds;
     config.engine_threads = options.engine_threads;
     config.core_budget = options.core_budget;
     return config;

@@ -96,8 +96,9 @@ struct ServiceConfig {
     /// back in the result message (obs contexts themselves never cross
     /// the wire — each worker builds its own registry/tracer).
     bool tracing = false;
-    /// Cadence for telemetry snapshots piggybacked on gossip (and for
-    /// local kMetrics events); 0 means final-result telemetry only.
+    /// Cadence for the worker's time-series recorder and for telemetry
+    /// snapshots piggybacked on gossip; 0 means final-result telemetry
+    /// only.
     double metrics_interval_seconds = 0.0;
     /// v2.2: cadence for worker heartbeats while a batch runs; 0 (the
     /// pre-v2.2 behavior) disables them. Heartbeats double as the

@@ -1,11 +1,10 @@
 /// \file
-/// Tests for the attribution profiler: charge/snapshot correctness,
-/// stripe spilling under location counts past one stripe's capacity,
-/// the allocation-free hot path, order-independent snapshot merging and
+/// Tests for the attribution profiler: charge/snapshot correctness, the
+/// allocation-free hot path, order-independent snapshot merging and
 /// idempotent gossip redelivery, JSON round trips with unknown-key
-/// tolerance, folded-stack and hot-location rendering, frontier
-/// introspection, and a 2-shard loopback batch whose cluster table must
-/// equal the single-shard table on every deterministic column.
+/// tolerance, folded-stack and hot-location rendering, frontier depth
+/// buckets, and a 2-shard loopback batch whose cluster table must equal
+/// the single-shard table on every deterministic column.
 
 #include "obs/attribution.h"
 
@@ -17,7 +16,6 @@
 #include <map>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/job.h"
@@ -105,7 +103,6 @@ TEST(Attribution, ChargesAccumulatePerLocation)
     EXPECT_EQ(table.at(0x20).new_fingerprints, 3u);
     EXPECT_EQ(table.at(0x30).assume_failures, 1u);
     EXPECT_EQ(table.at(0x30).parent, 0x10u);
-    EXPECT_EQ(snapshot.dropped_locations, 0u);
     EXPECT_EQ(snapshot.NewFingerprintsTotal(), 3u);
     EXPECT_FALSE(snapshot.empty());
     EXPECT_TRUE(AttributionSnapshot().empty());
@@ -140,73 +137,11 @@ TEST(Attribution, ChargeSolverLandsOnAmbientLocation)
     EXPECT_NEAR(snapshot.SolverSecondsTotal(), 0.011, 1e-9);
 }
 
-// Many threads charging many more distinct locations than one stripe
-// holds: full stripes must spill into siblings (not the overflow
-// aggregate), and the fold in Snapshot() must lose nothing.
-TEST(Attribution, ConcurrentChargesAcrossStripesLoseNothing)
-{
-    AttributionProfiler profiler("py/simplejson");
-    constexpr int kThreads = 8;
-    constexpr uint64_t kLocations = 1'000;
-    static_assert(kLocations > kAttributionCellsPerStripe,
-                  "test must overflow a single stripe");
-    static_assert(kLocations <
-                      kMetricStripes * kAttributionCellsPerStripe,
-                  "test must fit the profiler as a whole");
-    constexpr uint64_t kRounds = 20;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&profiler] {
-            for (uint64_t round = 0; round < kRounds; ++round) {
-                for (uint64_t pc = 0; pc < kLocations; ++pc) {
-                    profiler.Charge(pc, AttributionProfiler::kSteps);
-                }
-            }
-        });
-    }
-    for (std::thread& thread : threads) {
-        thread.join();
-    }
-
-    const AttributionSnapshot snapshot = profiler.Snapshot();
-    EXPECT_EQ(snapshot.dropped_locations, 0u);
-    const std::map<uint64_t, AttributionRow>& table =
-        snapshot.workloads.at("py/simplejson");
-    ASSERT_EQ(table.size(), kLocations);
-    for (const auto& [pc, row] : table) {
-        EXPECT_EQ(row.steps, kThreads * kRounds) << "hl_pc " << pc;
-    }
-}
-
-// Exhausting every stripe folds further new locations into the overflow
-// aggregate instead of losing the charges.
-TEST(Attribution, FullTableFoldsIntoOverflowAggregate)
-{
-    AttributionProfiler profiler("w");
-    const uint64_t capacity =
-        kMetricStripes * kAttributionCellsPerStripe;
-    for (uint64_t pc = 0; pc < capacity + 10; ++pc) {
-        profiler.Charge(pc, AttributionProfiler::kSteps, 2);
-    }
-    const AttributionSnapshot snapshot = profiler.Snapshot();
-    // dropped_locations counts redirected *charges* (delta-weighted).
-    EXPECT_EQ(snapshot.dropped_locations, 20u);
-    const std::map<uint64_t, AttributionRow>& table =
-        snapshot.workloads.at("w");
-    ASSERT_NE(table.find(kAttributionOverflowHlPc), table.end());
-    EXPECT_EQ(table.at(kAttributionOverflowHlPc).steps, 20u);
-    uint64_t total_steps = 0;
-    for (const auto& [pc, row] : table) {
-        total_steps += row.steps;
-    }
-    EXPECT_EQ(total_steps, (capacity + 10) * 2);
-}
-
 TEST(Attribution, HotPathAllocatesNothing)
 {
     AttributionProfiler profiler("w");
-    // Warm the cells the measured section will hit (cell claiming is
-    // also allocation-free, but warming keeps the assert focused).
+    // Warm the rows the measured section will hit: a location's first
+    // charge allocates its row, later charges must not.
     for (uint64_t pc = 0; pc < 64; ++pc) {
         profiler.Charge(pc, AttributionProfiler::kSteps);
     }
@@ -243,8 +178,7 @@ TEST(Attribution, MergeIsOrderIndependent)
 {
     const AttributionSnapshot a = MakeSnapshot("w", 0x10, 4, 0x2);
     const AttributionSnapshot b = MakeSnapshot("w", 0x10, 6, 0x1);
-    AttributionSnapshot c = MakeSnapshot("v", 0x99, 3);
-    c.dropped_locations = 2;
+    const AttributionSnapshot c = MakeSnapshot("v", 0x99, 3);
 
     std::vector<const AttributionSnapshot*> order = {&a, &b, &c};
     std::sort(order.begin(), order.end());
@@ -265,7 +199,6 @@ TEST(Attribution, MergeIsOrderIndependent)
         // function of the operand set, independent of arrival order.
         EXPECT_EQ(merged.workloads.at("w").at(0x10).parent, 0x1u);
         EXPECT_EQ(merged.workloads.at("v").at(0x99).steps, 3u);
-        EXPECT_EQ(merged.dropped_locations, 2u);
     }
 }
 
@@ -316,8 +249,7 @@ TEST(Attribution, JsonRoundTripPreservesEveryColumn)
     profiler.Charge(0x10, AttributionProfiler::kSolverNanos, 5'000'000);
     profiler.ChargeWithParent(0x20, 0x10,
                               AttributionProfiler::kNewFingerprints);
-    AttributionSnapshot snapshot = profiler.Snapshot();
-    snapshot.dropped_locations = 3;
+    const AttributionSnapshot snapshot = profiler.Snapshot();
 
     JsonWriter json;
     WriteAttributionSnapshot(json, snapshot);
@@ -334,13 +266,14 @@ TEST(Attribution, JsonRoundTripPreservesEveryColumn)
     EXPECT_EQ(decoded.workloads.at("py/argparse").at(0x10).solver_nanos,
               5'000'000u);
     EXPECT_EQ(decoded.workloads.at("py/argparse").at(0x20).parent, 0x10u);
-    EXPECT_EQ(decoded.dropped_locations, 3u);
 }
 
 TEST(Attribution, DecodeIgnoresUnknownKeysAndRejectsMalformedTables)
 {
     // Unknown keys at every level: forward compatibility with future
-    // minors that add columns or sections.
+    // minors that add columns or sections, and backward compatibility
+    // with older peers whose tables still carry the retired overflow
+    // counter.
     const std::string doc =
         "{\"future_section\":[1,2],\"dropped_locations\":1,"
         "\"workloads\":[{\"workload\":\"w\",\"future_flag\":true,"
@@ -353,7 +286,6 @@ TEST(Attribution, DecodeIgnoresUnknownKeysAndRejectsMalformedTables)
     ASSERT_TRUE(DecodeAttributionSnapshot(value, &decoded, &error))
         << error;
     EXPECT_EQ(decoded.workloads.at("w").at(0x10).steps, 4u);
-    EXPECT_EQ(decoded.dropped_locations, 1u);
 
     // Missing required fields fail loudly instead of half-decoding.
     for (const char* bad :
@@ -437,28 +369,6 @@ TEST(Frontier, DepthBucketsAreLogarithmicWithSaturatingTail)
               kFrontierDepthBuckets - 1);
 }
 
-TEST(Frontier, InspectorKeepsExactCountsAndBoundedRing)
-{
-    FrontierInspector inspector;
-    for (uint64_t i = 0; i < kFrontierPickRing + 10; ++i) {
-        inspector.RecordPick("fifo", i, static_cast<uint32_t>(i));
-    }
-    inspector.RecordPick("coverage", 0x999, 3);
-
-    const std::map<std::string, uint64_t> counts = inspector.PickCounts();
-    EXPECT_EQ(counts.at("fifo"), kFrontierPickRing + 10);
-    EXPECT_EQ(counts.at("coverage"), 1u);
-
-    const std::vector<FrontierInspector::Pick> picks =
-        inspector.RecentPicks();
-    ASSERT_EQ(picks.size(), kFrontierPickRing);
-    // Oldest first, and the ring holds exactly the most recent picks.
-    EXPECT_EQ(picks.front().seq + kFrontierPickRing - 1,
-              picks.back().seq);
-    EXPECT_STREQ(picks.back().strategy, "coverage");
-    EXPECT_EQ(picks.back().hl_pc, 0x999u);
-}
-
 // --------------------------------------------------------------------------
 // End to end: a 2-shard loopback batch's cluster table equals the
 // single-shard table on every deterministic column (the wall-time
@@ -494,7 +404,6 @@ TEST(Attribution, TwoShardClusterTableMatchesSingleShard)
     const AttributionSnapshot one = single.ClusterAttribution();
     const AttributionSnapshot two = sharded.ClusterAttribution();
     ASSERT_FALSE(one.empty());
-    EXPECT_EQ(one.dropped_locations, 0u);
     EXPECT_TRUE(AttributionCountsEqual(one, two));
     EXPECT_EQ(one.workloads.size(), 4u);
     EXPECT_GT(one.NewFingerprintsTotal(), 0u);

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "chef/engine.h"
@@ -476,6 +478,68 @@ TEST(EngineParallel, RoundModeHandlesAssumeRetries)
     EXPECT_EQ(engine.stats().threads_used, 3u);
     EXPECT_GE(engine.stats().rounds, 2u);
     EXPECT_EQ(engine.stats().claims, 0u);
+}
+
+/// Guest whose runs through `n == 7` ask the solver for n's upper bound
+/// mid-run, as interpreters do for symbolic allocation sizes. The path
+/// condition pins n there, so each such run issues the same number of
+/// queries whichever worker's solver answers them.
+Engine::GuestOutcome
+UpperBoundGuest(LowLevelRuntime& rt)
+{
+    SymValue n = rt.MakeSymbolicValue("n", 8, 0);
+    SymValue m = rt.MakeSymbolicValue("m", 8, 0);
+    rt.LogPc(1, kOpCmp);
+    if (rt.Branch(lowlevel::SvEq(n, SymValue(7, 8)), 4001)) {
+        rt.LogPc(2, kOpStmt);
+        EXPECT_EQ(rt.UpperBound(n), 7u);
+    }
+    for (uint64_t i = 0; i < 4; ++i) {
+        rt.LogPc(10 + i, kOpCmp);
+        rt.Branch(SvUgt(m, SymValue(i * 50, 8)), 4100 + i);
+    }
+    rt.LogPc(20, kOpStmt);
+    return {};
+}
+
+// Round-mode worker solvers run without the attribution profiler; the
+// driver charges their queries to the root location at commit. The table
+// stays thread-count invariant and accounts for every session query.
+TEST(EngineParallel, RoundModeAttributionInvariantInThreadCount)
+{
+    auto explore = [](uint32_t threads) {
+        obs::AttributionProfiler profiler("guest");
+        Engine::Options options;
+        options.strategy = StrategyKind::kCupaPath;
+        options.max_runs = 64;
+        options.max_seconds = 60.0;
+        options.collect_timeline = false;
+        options.exploration_threads = threads;
+        options.obs.attribution = &profiler;
+        Engine engine(options);
+        engine.Explore(UpperBoundGuest);
+        return engine.stats();
+    };
+    const EngineStats two = explore(2);
+    const EngineStats three = explore(3);
+    EXPECT_TRUE(obs::AttributionCountsEqual(two.attribution,
+                                            three.attribution));
+    for (const EngineStats* stats : {&two, &three}) {
+        const std::map<uint64_t, obs::AttributionRow>& table =
+            stats->attribution.workloads.at("guest");
+        uint64_t attributed_queries = 0;
+        for (const auto& [hl_pc, row] : table) {
+            attributed_queries += row.solver_queries;
+        }
+        EXPECT_EQ(attributed_queries, stats->solver_queries);
+        ASSERT_EQ(table.count(0), 1u);
+        EXPECT_GT(table.at(0).solver_queries, 0u);
+        EXPECT_GT(stats->claims, 0u);
+        EXPECT_EQ(stats->frontier.strategy_picks,
+                  (std::map<std::string, uint64_t>{
+                      {StrategyKindName(StrategyKind::kCupaPath),
+                       stats->claims}}));
+    }
 }
 
 /// Guest with plenty of states whose runs take a measurable ~10ms each, so

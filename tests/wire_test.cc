@@ -434,7 +434,6 @@ SampleAttribution()
     b.forks = 2;
     b.parent = 0x10;
     snapshot.workloads["lua/JSON"][0x99].assume_failures = 1;
-    snapshot.dropped_locations = 5;
     return snapshot;
 }
 
@@ -466,7 +465,6 @@ TEST(Wire, GossipCarriesAttributionWhenNonEmpty)
     EXPECT_EQ(
         message.attribution.workloads.at("py/argparse").at(0x20).parent,
         0x10u);
-    EXPECT_EQ(message.attribution.dropped_locations, 5u);
 }
 
 TEST(Wire, ResultRoundTripsAttribution)
