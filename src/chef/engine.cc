@@ -1,5 +1,6 @@
 #include "chef/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -28,8 +29,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Round mode: maximum states claimed + solved per round. Independent of
-/// the thread count, so round-mode results are invariant in it.
+/// Width of a pooled round (exploration_threads >= 2): maximum states
+/// claimed + solved per round. Independent of the thread count, so
+/// round-mode results are invariant in it. One thread uses width 1.
 constexpr size_t kRoundWidth = 8;
 
 /// The session's solver shares the engine's telemetry context unless the
@@ -153,18 +155,23 @@ struct Engine::WorkerContext {
     lowlevel::LowLevelRuntime runtime;
 };
 
-/// One unit of parallel work: the assignment to run under, the claimed
-/// state it came from (if any), and the recorded results.
+/// One run of a round: the assignment to run under, the claimed state it
+/// came from (if any), and the run's results.
 struct Engine::RoundItem {
     solver::Assignment assignment;
     bool from_pending = false;
     lowlevel::AlternateState claimed;
-    lowlevel::RunLog log;
     lowlevel::RunStats run_stats;
+    /// Set by a live run; filled from the log's replay for a recorded one.
+    hll::HlPathInfo hl_info;
     GuestOutcome outcome;
     solver::Assignment complete_inputs;
-    /// The worker solver's queries and solve time during the run (its
-    /// mid-run UpperBound calls), charged to the root location at commit.
+    /// True when a worker recorded the run into log; CommitRun replays it.
+    bool recorded = false;
+    lowlevel::RunLog log;
+    /// The worker solver's queries and solve time during a recorded run
+    /// (its mid-run UpperBound calls), charged to the root location at
+    /// commit.
     uint64_t solver_queries = 0;
     double solver_seconds = 0.0;
     bool ran = false;
@@ -186,8 +193,8 @@ Engine::Engine(Options options)
         m_hl_paths_ = registry.counter("engine.hl_paths");
         m_infeasible_ = registry.counter("engine.infeasible_states");
         m_run_latency_ = registry.histogram("engine.run_seconds");
+        m_claims_ = registry.counter("engine.claims");
         m_par_in_flight_ = registry.gauge("engine.parallel.states_in_flight");
-        m_par_claims_ = registry.counter("engine.parallel.claims");
         m_par_rounds_ = registry.counter("engine.parallel.rounds");
         m_par_barrier_wait_ =
             registry.histogram("engine.parallel.barrier_wait_seconds");
@@ -252,170 +259,6 @@ Engine::CompleteInputsFor(const lowlevel::LowLevelRuntime& runtime)
     return complete;
 }
 
-std::vector<TestCase>
-Engine::Explore(const RunFn& run)
-{
-    if (options_.exploration_threads <= 1) {
-        return ExploreSerial(run);
-    }
-    return ExploreRounds(run);
-}
-
-std::vector<TestCase>
-Engine::ExploreSerial(const RunFn& run)
-{
-    const auto start = Clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    auto stop_requested = [this] {
-        return options_.stop_requested && options_.stop_requested();
-    };
-
-    std::vector<TestCase> test_cases;
-    solver::Assignment assignment;  // First run uses declared defaults.
-    // Attribution origin of the upcoming run: the hl_pc of the claimed
-    // state it explores, 0 for the defaults run and assume retries —
-    // matching round mode, where carryover items carry no claim.
-    uint64_t run_origin = 0;
-    // Whether the loop actually exited because of the cancellation hook
-    // (recorded at the exit points: re-evaluating the hook after the loop
-    // would misreport a naturally completed session whose budget expires
-    // moments later).
-    bool stopped = false;
-
-    while (stats_.ll_paths < options_.max_runs &&
-           elapsed() < options_.max_seconds) {
-        if (stop_requested()) {
-            stopped = true;
-            break;
-        }
-        // One concolic iteration: the interpreter dispatch loop runs
-        // inside run(), so this span is the "where does interpreter time
-        // go" row of the trace.
-        const auto run_start = Clock::now();
-        runtime_.BeginRun(assignment);
-        tracker_.BeginRun();
-        GuestOutcome outcome;
-        {
-            CHEF_OBS_SPAN(run_span, options_.obs.tracer, "engine/run",
-                          "engine");
-            outcome = run(runtime_);
-        }
-        const lowlevel::RunStats run_stats = runtime_.EndRun();
-        const hll::HlPathInfo hl_info = tracker_.EndRun();
-        if (m_runs_ != nullptr) {
-            m_runs_->Add();
-            m_run_latency_->Record(
-                std::chrono::duration<double>(Clock::now() - run_start)
-                    .count());
-        }
-        stats_.states_registered += run_stats.registered_states;
-        ChargeRunAttribution(
-            run_origin, hl_info.is_new_path,
-            run_stats.status == lowlevel::PathStatus::kAssumeViolated);
-
-        if (run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
-            // The inputs violate a test assumption. Re-solve the current
-            // path condition (which includes the assumption) and rerun.
-            ++stats_.assume_retries;
-            solver::Assignment model;
-            const obs::ScopedLocation solve_location(LastTraceLocation());
-            if (solver_.Solve(runtime_.current_path_condition(), &model) !=
-                solver::QueryResult::kSat) {
-                // The symbolic test's assumptions are unsatisfiable on
-                // this path prefix; fall through to state selection.
-            } else {
-                assignment = model;
-                run_origin = 0;
-                continue;
-            }
-        } else {
-            TestCase test_case;
-            test_case.inputs = CompleteInputsFor(runtime_);
-            test_case.status = run_stats.status;
-            test_case.new_hl_path = hl_info.is_new_path;
-            test_case.hl_final_node = hl_info.final_node;
-            test_case.hl_path_fingerprint = hl_info.path_hash;
-            test_case.hl_length = hl_info.length;
-            test_case.ll_steps = run_stats.steps;
-            if (run_stats.status == lowlevel::PathStatus::kHang) {
-                ++stats_.hangs;
-                test_case.outcome_kind = "hang";
-                test_case.outcome_detail = outcome.detail;
-            } else {
-                test_case.outcome_kind = outcome.kind;
-                test_case.outcome_detail = outcome.detail;
-            }
-            ++stats_.ll_paths;
-            if (hl_info.is_new_path) {
-                ++stats_.hl_paths;
-                if (m_hl_paths_ != nullptr) {
-                    m_hl_paths_->Add();
-                }
-            }
-            test_cases.push_back(std::move(test_case));
-
-            if (options_.collect_timeline) {
-                stats_.timeline.push_back(
-                    {elapsed(), stats_.ll_paths, stats_.hl_paths});
-            }
-        }
-
-        // Coverage-optimized CUPA consults CFG distances; refresh the
-        // analysis with the newly observed edges.
-        if (options_.strategy == StrategyKind::kCupaCoverage) {
-            tracker_.cfg().RecomputeAnalysis(
-                options_.branch_opcode_drop_fraction);
-        }
-
-        // Select the next feasible alternate state. The wall-clock budget
-        // applies here too: draining a large pool of infeasible states
-        // (runaway loops) must not stall the session.
-        bool found = false;
-        CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
-                      "engine");
-        while (!strategy_->empty() && elapsed() < options_.max_seconds) {
-            if (stop_requested()) {
-                stopped = true;
-                break;
-            }
-            const lowlevel::AlternateState state =
-                tree_.ClaimState(strategy_->ClaimState());
-            ++strategy_picks_;
-            solver::Assignment model;
-            solver::QueryResult result;
-            {
-                const obs::ScopedLocation solve_location(
-                    state.static_hlpc);
-                result = solver_.Solve(state.path_condition, &model);
-            }
-            if (result == solver::QueryResult::kSat) {
-                tree_.CompleteClaim(state.id);
-                assignment = model;
-                run_origin = state.static_hlpc;
-                found = true;
-                break;
-            }
-            tree_.MarkInfeasible(state);
-            if (result == solver::QueryResult::kUnsat) {
-                ++stats_.infeasible_states;
-                if (m_infeasible_ != nullptr) {
-                    m_infeasible_->Add();
-                }
-            } else {
-                ++stats_.solver_failures;
-            }
-        }
-        if (!found) {
-            break;  // Exploration exhausted.
-        }
-    }
-    stats_.stopped = stopped;
-    FinalizeStats(elapsed(), {});
-    return test_cases;
-}
-
 void
 Engine::ChargeRunAttribution(uint64_t origin_hlpc, bool new_hl_path,
                              bool assume_violated)
@@ -452,18 +295,23 @@ Engine::LastTraceLocation() const
 }
 
 bool
-Engine::CommitRun(const RoundItem& item, double t_now,
+Engine::CommitRun(RoundItem& item, double t_now,
                   std::vector<TestCase>* test_cases,
                   solver::Assignment* retry)
 {
-    tracker_.BeginRun();
-    const lowlevel::RunStats replay = runtime_.CommitRecordedRun(item.log);
-    const hll::HlPathInfo hl_info = tracker_.EndRun();
-    stats_.states_registered += replay.registered_states;
+    if (item.recorded) {
+        tracker_.BeginRun();
+        item.run_stats.registered_states =
+            runtime_.CommitRecordedRun(item.log).registered_states;
+        item.hl_info = tracker_.EndRun();
+    }
+    const lowlevel::RunStats& run_stats = item.run_stats;
+    const hll::HlPathInfo& hl_info = item.hl_info;
+    stats_.states_registered += run_stats.registered_states;
     ChargeRunAttribution(
         item.from_pending ? item.claimed.static_hlpc : 0,
         hl_info.is_new_path,
-        item.run_stats.status == lowlevel::PathStatus::kAssumeViolated);
+        run_stats.status == lowlevel::PathStatus::kAssumeViolated);
     // Worker solvers run outside any ScopedLocation, so their queries
     // belong to the root location, as a session solver's would.
     obs::AttributionProfiler* solver_profiler =
@@ -479,7 +327,9 @@ Engine::CommitRun(const RoundItem& item, double t_now,
         tree_.CompleteClaim(item.claimed.id);
     }
 
-    if (item.run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
+    if (run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
+        // The inputs violate a test assumption. Re-solve the run's path
+        // condition (which includes the assumption) and rerun.
         ++stats_.assume_retries;
         solver::Assignment model;
         const obs::ScopedLocation solve_location(LastTraceLocation());
@@ -489,26 +339,25 @@ Engine::CommitRun(const RoundItem& item, double t_now,
             return true;
         }
         // The symbolic test's assumptions are unsatisfiable on this path
-        // prefix; the chain ends here, as in the serial loop.
+        // prefix; the chain ends here.
         return false;
     }
 
     TestCase test_case;
-    test_case.inputs = item.complete_inputs;
-    test_case.status = item.run_stats.status;
+    test_case.inputs = std::move(item.complete_inputs);
+    test_case.status = run_stats.status;
     test_case.new_hl_path = hl_info.is_new_path;
     test_case.hl_final_node = hl_info.final_node;
     test_case.hl_path_fingerprint = hl_info.path_hash;
     test_case.hl_length = hl_info.length;
-    test_case.ll_steps = item.run_stats.steps;
-    if (item.run_stats.status == lowlevel::PathStatus::kHang) {
+    test_case.ll_steps = run_stats.steps;
+    if (run_stats.status == lowlevel::PathStatus::kHang) {
         ++stats_.hangs;
         test_case.outcome_kind = "hang";
-        test_case.outcome_detail = item.outcome.detail;
     } else {
-        test_case.outcome_kind = item.outcome.kind;
-        test_case.outcome_detail = item.outcome.detail;
+        test_case.outcome_kind = std::move(item.outcome.kind);
     }
+    test_case.outcome_detail = std::move(item.outcome.detail);
     ++stats_.ll_paths;
     if (hl_info.is_new_path) {
         ++stats_.hl_paths;
@@ -524,7 +373,7 @@ Engine::CommitRun(const RoundItem& item, double t_now,
 }
 
 std::vector<TestCase>
-Engine::ExploreRounds(const RunFn& run)
+Engine::Explore(const RunFn& run)
 {
     const auto start = Clock::now();
     auto elapsed = [&start] {
@@ -534,21 +383,31 @@ Engine::ExploreRounds(const RunFn& run)
         return options_.stop_requested && options_.stop_requested();
     };
 
-    const uint32_t threads = options_.exploration_threads;
+    // One thread runs width-1 rounds inline on the driver's runtime; N >= 2
+    // threads run kRoundWidth recorded runs per round on a worker pool.
+    const uint32_t threads =
+        std::max<uint32_t>(1, options_.exploration_threads);
+    const size_t width = threads == 1 ? 1 : kRoundWidth;
     stats_.threads_used = threads;
-
     std::vector<std::unique_ptr<WorkerContext>> workers;
-    workers.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        workers.push_back(std::make_unique<WorkerContext>(*this));
+    std::unique_ptr<RoundPool> pool;
+    if (threads > 1) {
+        workers.reserve(threads);
+        for (uint32_t i = 0; i < threads; ++i) {
+            workers.push_back(std::make_unique<WorkerContext>(*this));
+        }
+        pool = std::make_unique<RoundPool>(threads);
     }
-    RoundPool pool(threads);
 
     std::vector<TestCase> test_cases;
+    std::vector<RoundItem> round;
     // Assignments that enter the next round without consuming a claim: the
     // initial defaults run, then assume-retry reruns.
-    std::vector<solver::Assignment> carryover;
-    carryover.emplace_back();
+    std::vector<solver::Assignment> carryover(1);
+    // Whether the loop actually exited because of the cancellation hook
+    // (recorded where the hook fires: re-evaluating it after the loop would
+    // misreport a naturally completed session whose budget expires moments
+    // later).
     bool stopped = false;
 
     for (;;) {
@@ -562,18 +421,19 @@ Engine::ExploreRounds(const RunFn& run)
         }
 
         // -- Selection phase: serial, on the session solver, in strategy
-        //    order. Deterministic regardless of the thread count.
-        std::vector<RoundItem> round;
+        //    order. Deterministic regardless of the thread count. The
+        //    wall-clock budget applies here too: draining a large pool of
+        //    infeasible states (runaway loops) must not stall the session.
+        round.clear();
         for (solver::Assignment& assignment : carryover) {
-            RoundItem item;
-            item.assignment = std::move(assignment);
-            round.push_back(std::move(item));
+            round.emplace_back();
+            round.back().assignment = std::move(assignment);
         }
         carryover.clear();
         {
             CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
                           "engine");
-            while (round.size() < kRoundWidth &&
+            while (round.size() < width &&
                    stats_.ll_paths + round.size() < options_.max_runs &&
                    elapsed() < options_.max_seconds) {
                 if (stop_requested()) {
@@ -586,9 +446,8 @@ Engine::ExploreRounds(const RunFn& run)
                 lowlevel::AlternateState state =
                     tree_.ClaimState(strategy_->ClaimState());
                 ++stats_.claims;
-                ++strategy_picks_;
-                if (m_par_claims_ != nullptr) {
-                    m_par_claims_->Add();
+                if (m_claims_ != nullptr) {
+                    m_claims_->Add();
                 }
                 solver::Assignment model;
                 solver::QueryResult result;
@@ -598,21 +457,20 @@ Engine::ExploreRounds(const RunFn& run)
                     result = solver_.Solve(state.path_condition, &model);
                 }
                 if (result == solver::QueryResult::kSat) {
-                    RoundItem item;
+                    RoundItem& item = round.emplace_back();
                     item.assignment = std::move(model);
                     item.from_pending = true;
                     item.claimed = std::move(state);
-                    round.push_back(std::move(item));
-                } else {
-                    tree_.MarkInfeasible(state);
-                    if (result == solver::QueryResult::kUnsat) {
-                        ++stats_.infeasible_states;
-                        if (m_infeasible_ != nullptr) {
-                            m_infeasible_->Add();
-                        }
-                    } else {
-                        ++stats_.solver_failures;
+                    continue;
+                }
+                tree_.MarkInfeasible(state);
+                if (result == solver::QueryResult::kUnsat) {
+                    ++stats_.infeasible_states;
+                    if (m_infeasible_ != nullptr) {
+                        m_infeasible_->Add();
                     }
+                } else {
+                    ++stats_.solver_failures;
                 }
             }
         }
@@ -620,76 +478,66 @@ Engine::ExploreRounds(const RunFn& run)
             break;  // Exploration exhausted (or stopped with no work left).
         }
 
-        // -- Run phase: the guest runs execute in parallel, purely as a
-        //    function of their assignment (recording mode).
-        std::atomic<bool> round_stop{stopped};
-        std::vector<Clock::time_point> last_finish(threads);
-        std::vector<char> worker_ran(threads, 0);
-        pool.Run(round.size(), [&](size_t worker, size_t index) {
-            RoundItem& item = round[index];
-            if (round_stop.load(std::memory_order_relaxed)) {
-                return;
-            }
+        // -- Run phase: inline at one thread; otherwise the guest runs
+        //    execute in parallel, purely as a function of their assignment
+        //    (recording mode). Either way a stop request skips runs that
+        //    have not started.
+        if (pool == nullptr) {
             if (stop_requested()) {
-                round_stop.store(true, std::memory_order_relaxed);
-                return;
+                stopped = true;
+            } else {
+                RunItem(run, nullptr, &round.front());
             }
-            WorkerContext& context = *workers[worker];
-            if (m_par_in_flight_ != nullptr) {
-                m_par_in_flight_->Add(1);
+        } else {
+            std::atomic<bool> round_stop{stopped};
+            std::vector<Clock::time_point> last_finish(threads);
+            std::vector<char> worker_ran(threads, 0);
+            pool->Run(round.size(), [&](size_t worker, size_t index) {
+                if (round_stop.load(std::memory_order_relaxed)) {
+                    return;
+                }
+                if (stop_requested()) {
+                    round_stop.store(true, std::memory_order_relaxed);
+                    return;
+                }
+                if (m_par_in_flight_ != nullptr) {
+                    m_par_in_flight_->Add(1);
+                }
+                RunItem(run, workers[worker].get(), &round[index]);
+                if (m_par_in_flight_ != nullptr) {
+                    m_par_in_flight_->Add(-1);
+                }
+                last_finish[worker] = Clock::now();
+                worker_ran[worker] = 1;
+            });
+            const auto round_end = Clock::now();
+            for (uint32_t worker = 0; worker < threads; ++worker) {
+                if (worker_ran[worker] == 0) {
+                    continue;
+                }
+                const double wait = std::chrono::duration<double>(
+                                        round_end - last_finish[worker])
+                                        .count();
+                stats_.barrier_wait_seconds += wait;
+                if (m_par_barrier_wait_ != nullptr) {
+                    m_par_barrier_wait_->Record(wait);
+                }
             }
-            const auto run_start = Clock::now();
-            const uint64_t queries_before = context.solver.stats().queries;
-            const double seconds_before =
-                context.solver.stats().solve_seconds;
-            context.runtime.BeginRecordedRun(item.assignment, &item.log);
-            {
-                CHEF_OBS_SPAN(run_span, options_.obs.tracer,
-                              "engine/parallel_run", "engine");
-                item.outcome = run(context.runtime);
+            if (round_stop.load(std::memory_order_relaxed)) {
+                stopped = true;
             }
-            item.run_stats = context.runtime.EndRun();
-            item.complete_inputs = CompleteInputsFor(context.runtime);
-            item.solver_queries =
-                context.solver.stats().queries - queries_before;
-            item.solver_seconds =
-                context.solver.stats().solve_seconds - seconds_before;
-            item.ran = true;
-            if (m_runs_ != nullptr) {
-                m_runs_->Add();
-                m_run_latency_->Record(
-                    std::chrono::duration<double>(Clock::now() - run_start)
-                        .count());
+            ++stats_.rounds;
+            if (m_par_rounds_ != nullptr) {
+                m_par_rounds_->Add();
             }
-            if (m_par_in_flight_ != nullptr) {
-                m_par_in_flight_->Add(-1);
-            }
-            last_finish[worker] = Clock::now();
-            worker_ran[worker] = 1;
-        });
-        const auto round_end = Clock::now();
-        for (uint32_t worker = 0; worker < threads; ++worker) {
-            if (worker_ran[worker] == 0) {
-                continue;
-            }
-            const double wait = std::chrono::duration<double>(
-                                    round_end - last_finish[worker])
-                                    .count();
-            stats_.barrier_wait_seconds += wait;
-            if (m_par_barrier_wait_ != nullptr) {
-                m_par_barrier_wait_->Record(wait);
-            }
-        }
-        if (round_stop.load(std::memory_order_relaxed)) {
-            stopped = true;
         }
 
         // -- Commit phase: serial, in selection order. Identical shared
         //    state evolution no matter how the run phase was scheduled.
         for (RoundItem& item : round) {
             if (!item.ran) {
-                // Skipped by a mid-round stop: hand the lease back so the
-                // tree's bookkeeping stays consistent.
+                // Skipped by a stop: hand the lease back so the tree's
+                // bookkeeping stays consistent.
                 if (item.from_pending) {
                     tree_.ReleaseClaim(item.claimed);
                 }
@@ -706,10 +554,6 @@ Engine::ExploreRounds(const RunFn& run)
             tracker_.cfg().RecomputeAnalysis(
                 options_.branch_opcode_drop_fraction);
         }
-        ++stats_.rounds;
-        if (m_par_rounds_ != nullptr) {
-            m_par_rounds_->Add();
-        }
         if (stopped) {
             break;
         }
@@ -717,6 +561,50 @@ Engine::ExploreRounds(const RunFn& run)
     stats_.stopped = stopped;
     FinalizeStats(elapsed(), workers);
     return test_cases;
+}
+
+void
+Engine::RunItem(const RunFn& run, WorkerContext* worker, RoundItem* item)
+{
+    // A live run (no worker) advances the tree and feeds the tracker as it
+    // goes; a worker records into the item's log for CommitRun to replay.
+    lowlevel::LowLevelRuntime& runtime =
+        worker == nullptr ? runtime_ : worker->runtime;
+    const auto run_start = Clock::now();
+    uint64_t queries_before = 0;
+    double seconds_before = 0.0;
+    if (worker == nullptr) {
+        runtime_.BeginRun(item->assignment);
+        tracker_.BeginRun();
+    } else {
+        queries_before = worker->solver.stats().queries;
+        seconds_before = worker->solver.stats().solve_seconds;
+        worker->runtime.BeginRecordedRun(item->assignment, &item->log);
+        item->recorded = true;
+    }
+    {
+        // The interpreter dispatch loop runs inside run(), so this span is
+        // the "where does interpreter time go" row of the trace.
+        CHEF_OBS_SPAN(run_span, options_.obs.tracer,
+                      worker == nullptr ? "engine/run" : "engine/parallel_run",
+                      "engine");
+        item->outcome = run(runtime);
+    }
+    item->run_stats = runtime.EndRun();
+    item->complete_inputs = CompleteInputsFor(runtime);
+    if (worker == nullptr) {
+        item->hl_info = tracker_.EndRun();
+    } else {
+        item->solver_queries = worker->solver.stats().queries - queries_before;
+        item->solver_seconds =
+            worker->solver.stats().solve_seconds - seconds_before;
+    }
+    item->ran = true;
+    if (m_runs_ != nullptr) {
+        m_runs_->Add();
+        m_run_latency_->Record(
+            std::chrono::duration<double>(Clock::now() - run_start).count());
+    }
 }
 
 void
@@ -750,9 +638,9 @@ Engine::FinalizeStats(
         stats_.attribution = options_.obs.attribution->Snapshot();
     }
     stats_.frontier = tree_.SnapshotFrontier();
-    if (strategy_picks_ > 0) {
+    if (stats_.claims > 0) {
         stats_.frontier.strategy_picks[StrategyKindName(options_.strategy)] =
-            strategy_picks_;
+            stats_.claims;
     }
 }
 

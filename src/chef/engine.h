@@ -13,20 +13,25 @@
 /// re-run under the satisfying assignment.
 ///
 /// The engine's driver thread is the single owner of the execution tree,
-/// the search strategy and the tracker. Two loops:
+/// the search strategy and the tracker. One loop, in rounds:
 ///
-///  - Serial (Options::exploration_threads = 1): the classic loop above.
-///  - Deterministic round mode (exploration_threads >= 2): the driver
-///    claims up to a fixed round width of states in strategy order and
-///    solves them serially on the session solver, worker threads execute
-///    the guest runs in parallel on private recording runtimes (which
-///    touch only their own cursor and solver, never the tree), and the
-///    driver commits the recorded logs serially in selection order, then
-///    barriers and repeats. Because the round width is independent of the
-///    thread count and all tree/strategy mutation is serial and
-///    canonically ordered, the produced test cases, fingerprints and stats
-///    are bit-identical for any exploration_threads >= 2 (but not equal to
-///    the serial loop's, whose selection interleaves differently).
+///  - Select: the driver claims up to the round width of states in
+///    strategy order and solves them serially on the session solver.
+///  - Run: at one thread (Options::exploration_threads <= 1) the width is
+///    1 and the guest runs inline on the driver's runtime in live mode,
+///    advancing the tree and the tracker as it goes. At N >= 2 threads
+///    the width is a fixed constant and worker threads execute the runs
+///    in parallel on private recording runtimes (which touch only their
+///    own cursor and solver, never the tree).
+///  - Commit: the driver commits the round's runs serially in selection
+///    order (replaying recorded logs into the tree and tracker), then
+///    repeats.
+///
+/// Because the pooled width is independent of the thread count and all
+/// tree/strategy mutation is serial and canonically ordered, the produced
+/// test cases, fingerprints and stats are bit-identical for any
+/// exploration_threads >= 2 (but not equal to the one-thread loop's,
+/// whose width-1 rounds interleave selection and commits differently).
 ///
 /// The driver also owns the session's telemetry bookkeeping: it is the
 /// only thread that charges the attribution profiler (worker solvers run
@@ -117,20 +122,22 @@ struct EngineStats {
     bool stopped = false;
     double elapsed_seconds = 0.0;
 
-    // -- Parallel exploration (all 0 / 1 when exploration_threads == 1) ----
+    // -- Rounds and claims --------------------------------------------------
 
     /// Exploration threads actually used.
     uint32_t threads_used = 1;
-    /// Deterministic rounds executed (round mode only).
+    /// Pooled rounds executed (0 at one thread, whose width-1 rounds run
+    /// inline).
     uint64_t rounds = 0;
-    /// States leased for a round via the claim protocol (round mode only).
+    /// States leased via the claim protocol (every strategy pick, at every
+    /// thread count); reported as frontier.strategy_picks.
     uint64_t claims = 0;
     /// Always 0: the tree has a single owner and no lock to contend.
     /// Kept because external stats readers still report the field.
     uint64_t claim_contention = 0;
-    /// Total worker-idle time at round barriers (sum over workers of the
-    /// gap between finishing their last run of a round and the round
-    /// completing).
+    /// Total worker-idle time at pooled round barriers (sum over workers of
+    /// the gap between finishing their last run of a round and the round
+    /// completing; 0 at one thread).
     double barrier_wait_seconds = 0.0;
 
     struct Sample {
@@ -163,11 +170,10 @@ class Engine
         uint64_t seed = 1;
         /// Exploration stops after this many completed low-level runs.
         uint64_t max_runs = 2000;
-        /// ... or after this much wall time. Checked between concolic
-        /// iterations, between state-selection solver calls, and — under
-        /// parallel exploration — between claims and between rounds;
-        /// in-flight guest runs are never interrupted (the per-run step
-        /// budget bounds them), so the overshoot is at most one run.
+        /// ... or after this much wall time. Checked before each round and
+        /// before each claim of the selection phase; in-flight guest runs
+        /// are never interrupted (the per-run step budget bounds them), so
+        /// the overshoot is at most one round of runs.
         double max_seconds = 30.0;
         /// Per-run low-level step budget (hang detector). Also bounds the
         /// depth of loop-carried symbolic expression chains, which are
@@ -187,17 +193,17 @@ class Engine
         solver::Solver::Options solver_options = {};
         bool collect_timeline = true;
         /// Intra-session parallelism: number of threads running this
-        /// session's guest runs. 1 (the default) runs the classic serial
-        /// loop, bit-identical to pre-parallel engines. >= 2 selects
-        /// deterministic round mode.
+        /// session's guest runs. 0 or 1 (the default) runs rounds of width
+        /// 1 inline on the driver thread, producing the pre-parallel
+        /// engine's test cases bit-for-bit. >= 2 runs fixed-width rounds
+        /// on a pool of that many workers (deterministic round mode).
         uint32_t exploration_threads = 1;
-        /// Cooperative cancellation hook. Checked between concolic
-        /// iterations and between state-selection solver calls; under
-        /// parallel exploration it is additionally polled between claims,
-        /// between rounds, and by each worker before starting a queued
-        /// run (so a mid-round stop lets in-flight guest runs finish,
-        /// skips the rest, commits what completed, and winds down).
-        /// When exploration_threads > 1 the hook must be thread-safe.
+        /// Cooperative cancellation hook. Polled before each round, before
+        /// each claim, and before each guest run starts (by the pool
+        /// worker picking it up when exploration_threads >= 2), so a stop
+        /// lets in-flight guest runs finish, skips the rest (handing their
+        /// claims back), commits what completed, and winds down. When
+        /// exploration_threads > 1 the hook must be thread-safe.
         /// When it returns true the exploration winds down and Explore()
         /// returns the test cases produced so far. Used by the
         /// exploration service to enforce service-wide wall-clock budgets
@@ -206,12 +212,12 @@ class Engine
         std::function<bool()> stop_requested;
         /// Telemetry (obs/obs.h). Copied into solver_options.obs by the
         /// constructor so the session's solver shares the same registry
-        /// and tracer; the engine itself emits engine/run (interpreter
-        /// dispatch) and engine/select (state selection) spans plus
-        /// engine.* counters, and under parallel exploration
+        /// and tracer; the engine itself emits engine/run (inline
+        /// interpreter dispatch) and engine/select (state selection) spans
+        /// plus engine.* counters (runs, run latency, HL paths, infeasible
+        /// states, claims), and under parallel exploration
         /// engine/parallel_run per-worker spans plus engine.parallel.*
-        /// counters (states in flight, claims, rounds, round barrier
-        /// wait).
+        /// instruments (states in flight, rounds, round barrier wait).
         obs::ObsContext obs;
     };
 
@@ -222,7 +228,7 @@ class Engine
     };
 
     /// Executes the target program once under the given runtime; called by
-    /// the engine for every concolic iteration. Under parallel exploration
+    /// the engine for every guest run. Under parallel exploration
     /// this is invoked concurrently on distinct runtimes, so it must not
     /// mutate shared state of its own.
     using RunFn = std::function<GuestOutcome(lowlevel::LowLevelRuntime&)>;
@@ -248,16 +254,18 @@ class Engine
     static solver::Assignment CompleteInputsFor(
         const lowlevel::LowLevelRuntime& runtime);
 
-    std::vector<TestCase> ExploreSerial(const RunFn& run);
-    std::vector<TestCase> ExploreRounds(const RunFn& run);
+    /// Runs the guest once under item->assignment: live on the driver's
+    /// runtime when \p worker is null, else recorded on the worker's
+    /// runtime (called from that worker's thread).
+    void RunItem(const RunFn& run, WorkerContext* worker, RoundItem* item);
 
-    /// Serial commit of one recorded run: replays the log into the tree +
-    /// tracker, charges the run (and its worker solver's queries) to the
-    /// attribution profiler, produces the test case or solves the
-    /// assume-retry assignment on the session solver, and updates stats.
-    /// Returns true if the commit produced an assume-retry assignment in
-    /// *retry.
-    bool CommitRun(const RoundItem& item, double t_now,
+    /// Serial commit of one run: replays a recorded run's log into the
+    /// tree + tracker (a live run already advanced them), charges the run
+    /// (and its worker solver's queries) to the attribution profiler,
+    /// produces the test case or solves the assume-retry assignment on the
+    /// session solver, and updates stats. Returns true if the commit
+    /// produced an assume-retry assignment in *retry.
+    bool CommitRun(RoundItem& item, double t_now,
                    std::vector<TestCase>* test_cases,
                    solver::Assignment* retry);
 
@@ -265,7 +273,7 @@ class Engine
     /// per trace entry (with discovery-parent links), the run and its
     /// fingerprint yield to the originating location, assume-failures
     /// to the violation site. Called on the serial commit path only, so
-    /// the charges are thread-count-invariant in round mode. No-op
+    /// the charges are thread-count-invariant at N >= 2 threads. No-op
     /// without Options::obs.attribution.
     void ChargeRunAttribution(uint64_t origin_hlpc, bool new_hl_path,
                               bool assume_violated);
@@ -285,8 +293,8 @@ class Engine
     obs::Counter* m_hl_paths_ = nullptr;
     obs::Counter* m_infeasible_ = nullptr;
     obs::Histogram* m_run_latency_ = nullptr;
+    obs::Counter* m_claims_ = nullptr;
     obs::Gauge* m_par_in_flight_ = nullptr;
-    obs::Counter* m_par_claims_ = nullptr;
     obs::Counter* m_par_rounds_ = nullptr;
     obs::Histogram* m_par_barrier_wait_ = nullptr;
     solver::Solver solver_;
@@ -295,9 +303,6 @@ class Engine
     hll::HlpcTracker tracker_;
     std::unique_ptr<cupa::SearchStrategy> strategy_;
     EngineStats stats_;
-    /// States claimed through strategy_ (both loops); reported as
-    /// stats_.frontier.strategy_picks.
-    uint64_t strategy_picks_ = 0;
     /// High-water mark over announced state ids: ReleaseClaim
     /// re-announces a state through the state-added hook, so fork
     /// charges fire only for ids above the mark (exactly once per

@@ -11,7 +11,7 @@
 ///
 /// Claim/release protocol: ClaimState() picks a state id without removing
 /// it from the strategy's own structures — the caller immediately leases it
-/// through ExecutionTree::ClaimState/TakePending, whose pending-removed hook
+/// through ExecutionTree::ClaimState, whose pending-removed hook
 /// drives OnStateRemoved; ExecutionTree::ReleaseClaim re-announces a
 /// handed-back state through the state-added hook, driving OnStateAdded.
 /// Like the tree, a strategy is owned by the engine's driver thread and is
@@ -49,7 +49,7 @@ class SearchStrategy
 
     /// Claims a pending state for exploration. Must not be called when
     /// empty(). The claimed state must then be leased from the tree
-    /// (TakePending / ExecutionTree::ClaimState), which fires
+    /// (ExecutionTree::ClaimState), which fires
     /// OnStateRemoved; until a claim is leased the strategy still counts
     /// it.
     virtual StateId ClaimState() = 0;

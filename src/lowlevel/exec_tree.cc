@@ -100,7 +100,7 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
 }
 
 AlternateState
-ExecutionTree::TakePending(StateId id)
+ExecutionTree::ClaimState(StateId id)
 {
     auto it = pending_.find(id);
     CHEF_CHECK_MSG(it != pending_.end(), "unknown pending state id");
@@ -109,13 +109,6 @@ ExecutionTree::TakePending(StateId id)
     if (on_pending_removed_) {
         on_pending_removed_(state.id);
     }
-    return state;
-}
-
-AlternateState
-ExecutionTree::ClaimState(StateId id)
-{
-    AlternateState state = TakePending(id);
     in_flight_.insert(id);
     return state;
 }

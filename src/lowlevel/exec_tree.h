@@ -18,12 +18,13 @@
 /// private recording runtimes that only touch their own cursor (BeginRun
 /// and AddConstraint leave the tree itself alone) and hand their logs to
 /// the driver for a serial replay. A pending state is *leased* via
-/// ClaimState (for one round in round mode, for one solve in the serial
-/// loop); leased states are out of the pending pool and therefore excluded
-/// from further selection until the driver either commits the run that
-/// explores them (CompleteClaim), proves them infeasible (MarkInfeasible),
-/// or hands them back (ReleaseClaim). A lease is just the state's id in
-/// the in-flight set; claiming reads no clock.
+/// ClaimState for one round of the engine's loop (from its selection
+/// through the commit of the run exploring it); leased states are out of
+/// the pending pool and therefore excluded from further selection until
+/// the driver either commits the run that explores them (CompleteClaim),
+/// proves them infeasible (MarkInfeasible), or hands them back
+/// (ReleaseClaim). A lease is just the state's id in the in-flight set;
+/// claiming reads no clock.
 
 #include <cstdint>
 #include <functional>
@@ -145,19 +146,14 @@ class ExecutionTree
         cursor.path_condition_.push_back(constraint);
     }
 
-    /// Removes and returns a pending state (strategy selected it).
-    /// The state stays recorded as kRegistered in the tree until the caller
-    /// reports the outcome via MarkInfeasible or a subsequent run exploring
-    /// it.
-    AlternateState TakePending(StateId id);
-
     // -- Claim/lease protocol ------------------------------------------------
 
     /// Leases pending state \p id (typically SearchStrategy::ClaimState's
     /// pick) to the caller: the state leaves the pending pool (firing the
     /// pending-removed hook) and is tracked as in flight. The leased state
     /// must be resolved with CompleteClaim, MarkInfeasible, or
-    /// ReleaseClaim.
+    /// ReleaseClaim; until then its direction stays kRegistered in the
+    /// tree.
     AlternateState ClaimState(StateId id);
 
     /// Hands a leased state back untouched: re-inserts it into the pending

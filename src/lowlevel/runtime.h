@@ -15,8 +15,9 @@
 ///
 /// Two execution modes support intra-session parallel exploration:
 ///
-///  - Live mode (BeginRun): branches advance the shared ExecutionTree
-///    immediately. This is the classic single-threaded path.
+///  - Live mode (BeginRun): branches advance the ExecutionTree
+///    immediately. The engine runs this way at one exploration thread,
+///    on its driver thread, with nothing to replay at commit.
 ///  - Recording mode (BeginRecordedRun): the run appends its symbolic
 ///    events (branches, assumptions, log_pc) to a RunLog and touches no
 ///    shared structure; a run is a pure function of its input assignment.
@@ -197,17 +198,6 @@ class LowLevelRuntime
     /// (live mode) or replayed log_pc event (commit).
     void set_log_pc_hook(LogPcHook hook) { log_pc_hook_ = std::move(hook); }
 
-    using StateAddedHook = std::function<void(const AlternateState&)>;
-
-    /// Invoked after a freshly registered alternate state has its
-    /// high-level bookkeeping filled in (search strategies subscribe).
-    /// Prefer ExecutionTree::set_on_state_added for shared-tree setups;
-    /// this runtime-level hook is kept for single-runtime callers.
-    void set_state_added_hook(StateAddedHook hook)
-    {
-        state_added_hook_ = std::move(hook);
-    }
-
     /// Current high-level position, written back by the tracker so that
     /// alternate states registered at low-level branches carry it.
     void SetHlPosition(uint64_t static_hlpc, uint64_t dynamic_hlpc,
@@ -224,7 +214,8 @@ class LowLevelRuntime
 
   private:
     /// Registration half of Branch (shared by live mode and replay):
-    /// throttle, tree advance, fork-weight streak, state-added hook.
+    /// throttle, tree advance (which announces new states through the
+    /// tree's state-added hook), fork-weight streak.
     void ApplyBranch(uint64_t llpc, bool taken,
                      const solver::ExprRef& taken_constraint);
 
@@ -242,7 +233,6 @@ class LowLevelRuntime
 
     RunStats stats_;
     LogPcHook log_pc_hook_;
-    StateAddedHook state_added_hook_;
 
     ExecutionTree::Cursor cursor_;
     RunLog* recording_ = nullptr;

@@ -480,6 +480,24 @@ TEST(EngineParallel, RoundModeHandlesAssumeRetries)
     EXPECT_EQ(engine.stats().claims, 0u);
 }
 
+// A run-bounded one-thread session stops selecting once its run budget is
+// spent: no state is claimed and solved without ever being explored, so
+// every registered state is still pending in the final frontier.
+TEST(EngineParallel, SingleThreadSessionSolvesNothingAfterRunBudget)
+{
+    Engine::Options options;
+    options.max_runs = 1;
+    options.max_seconds = 60.0;
+    Engine engine(options);
+    const std::vector<TestCase> tests = engine.Explore(ThreeBranchGuest);
+    ASSERT_EQ(tests.size(), 1u);
+    const EngineStats& stats = engine.stats();
+    EXPECT_EQ(stats.states_registered, 3u);
+    EXPECT_EQ(stats.solver_queries, 0u);
+    EXPECT_EQ(stats.claims, 0u);
+    EXPECT_EQ(stats.frontier.pending, stats.states_registered);
+}
+
 /// Guest whose runs through `n == 7` ask the solver for n's upper bound
 /// mid-run, as interpreters do for symbolic allocation sizes. The path
 /// condition pins n there, so each such run issues the same number of

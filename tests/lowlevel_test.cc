@@ -154,7 +154,7 @@ TEST(ExecTree, PathConditionAccumulates)
     EXPECT_EQ(cursor.path_condition().size(), 2u);
 }
 
-TEST(ExecTree, TakePendingAndMarkInfeasible)
+TEST(ExecTree, ClaimAndMarkInfeasible)
 {
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
@@ -164,9 +164,11 @@ TEST(ExecTree, TakePendingAndMarkInfeasible)
     auto result = tree.Advance(cursor, 7, true,
                                cond, solver::MakeBoolNot(cond), {});
     const StateId id = result.registered;
-    AlternateState state = tree.TakePending(id);
+    AlternateState state = tree.ClaimState(id);
     EXPECT_TRUE(tree.pending().empty());
+    EXPECT_EQ(tree.states_in_flight(), 1u);
     tree.MarkInfeasible(state);
+    EXPECT_EQ(tree.states_in_flight(), 0u);
     // Re-running the same branch direction must not re-register the
     // infeasible direction.
     tree.BeginRun(cursor);
