@@ -19,7 +19,8 @@
 /// Each shape runs under the baseline pipeline (slicing and incremental
 /// off — the PR 2 state) and the optimized one (both on), checking that
 /// sat/unsat outcomes agree under *all four* option combinations, then
-/// reports queries/s, SAT calls, and clauses loaded per query. A JSON
+/// reports queries/s, SAT calls, clauses loaded per query, and the SAT
+/// stage's time split into bit-blasting and CDCL by outcome. A JSON
 /// report (default BENCH_solver.json) captures the numbers for the CI
 /// trajectory.
 ///
@@ -156,6 +157,10 @@ WriteRunOutcome(chef::support::JsonWriter* json, const char* name,
                         : static_cast<double>(run.stats.clauses_loaded) /
                               static_cast<double>(run.results.size()));
     json->Key("cache_hits"), json->Value(run.stats.cache_hits);
+    json->Key("blast_seconds"), json->Value(run.stats.blast_seconds);
+    json->Key("cdcl_sat_seconds"), json->Value(run.stats.cdcl_sat_seconds);
+    json->Key("cdcl_unsat_seconds"),
+        json->Value(run.stats.cdcl_unsat_seconds);
     json->EndObject();
 }
 

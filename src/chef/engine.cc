@@ -621,6 +621,9 @@ Engine::FinalizeStats(
         solver_.stats().incremental_sat_calls;
     stats_.solver_clauses_loaded = solver_.stats().clauses_loaded;
     stats_.solver_seconds = solver_.stats().solve_seconds;
+    stats_.solver_blast_seconds = solver_.stats().blast_seconds;
+    stats_.solver_cdcl_sat_seconds = solver_.stats().cdcl_sat_seconds;
+    stats_.solver_cdcl_unsat_seconds = solver_.stats().cdcl_unsat_seconds;
     for (const std::unique_ptr<WorkerContext>& worker : workers) {
         const solver::SolverStats& solver_stats = worker->solver.stats();
         stats_.solver_queries += solver_stats.queries;
@@ -632,6 +635,9 @@ Engine::FinalizeStats(
             solver_stats.incremental_sat_calls;
         stats_.solver_clauses_loaded += solver_stats.clauses_loaded;
         stats_.solver_seconds += solver_stats.solve_seconds;
+        stats_.solver_blast_seconds += solver_stats.blast_seconds;
+        stats_.solver_cdcl_sat_seconds += solver_stats.cdcl_sat_seconds;
+        stats_.solver_cdcl_unsat_seconds += solver_stats.cdcl_unsat_seconds;
     }
     stats_.elapsed_seconds = elapsed_seconds;
     if (options_.obs.attribution != nullptr) {

@@ -118,6 +118,11 @@ struct EngineStats {
     /// Time spent inside the solver (aggregated over all solvers; with
     /// parallel workers this is a CPU-time-like sum, not wall time).
     double solver_seconds = 0.0;
+    /// Parts of solver_seconds spent bit-blasting and in CDCL search by
+    /// outcome (solver::SolverStats; aggregated like solver_seconds).
+    double solver_blast_seconds = 0.0;
+    double solver_cdcl_sat_seconds = 0.0;
+    double solver_cdcl_unsat_seconds = 0.0;
     /// True if Explore() returned because Options::stop_requested fired.
     bool stopped = false;
     double elapsed_seconds = 0.0;

@@ -1,5 +1,8 @@
 #include "solver/bitblast.h"
 
+#include <cstdlib>
+#include <utility>
+
 #include "support/diagnostics.h"
 
 namespace chef::solver {
@@ -24,7 +27,10 @@ BitBlaster::GateAnd(Lit a, Lit b)
     if (IsTrueLit(b)) return a;
     if (a == b) return a;
     if (a == -b) return FalseLit();
-    const Lit out = cnf_->NewVar();
+    if (a > b) std::swap(a, b);
+    Lit& out = gates_[GateKey{GateKind::kAnd, a, b, 0}];
+    if (out != 0) return out;
+    out = cnf_->NewVar();
     cnf_->AddTernary(-a, -b, out);
     cnf_->AddBinary(a, -out);
     cnf_->AddBinary(b, -out);
@@ -46,12 +52,21 @@ BitBlaster::GateXor(Lit a, Lit b)
     if (IsTrueLit(b)) return -a;
     if (a == b) return FalseLit();
     if (a == -b) return TrueLit();
-    const Lit out = cnf_->NewVar();
-    cnf_->AddTernary(-out, a, b);
-    cnf_->AddTernary(-out, -a, -b);
-    cnf_->AddTernary(out, -a, b);
-    cnf_->AddTernary(out, a, -b);
-    return out;
+    // a ^ b == -(|a| ^ |b|) when exactly one input is negated, so one
+    // gate over the positive inputs serves all four polarities.
+    const bool flip = (a < 0) != (b < 0);
+    a = std::abs(a);
+    b = std::abs(b);
+    if (a > b) std::swap(a, b);
+    Lit& out = gates_[GateKey{GateKind::kXor, a, b, 0}];
+    if (out == 0) {
+        out = cnf_->NewVar();
+        cnf_->AddTernary(-out, a, b);
+        cnf_->AddTernary(-out, -a, -b);
+        cnf_->AddTernary(out, -a, b);
+        cnf_->AddTernary(out, a, -b);
+    }
+    return flip ? -out : out;
 }
 
 Lit
@@ -66,7 +81,13 @@ BitBlaster::GateIte(Lit c, Lit t, Lit e)
     if (IsFalseLit(t)) return GateAnd(-c, e);
     if (IsTrueLit(e)) return GateOr(-c, t);
     if (IsFalseLit(e)) return GateAnd(c, t);
-    const Lit out = cnf_->NewVar();
+    if (c < 0) {
+        c = -c;
+        std::swap(t, e);
+    }
+    Lit& out = gates_[GateKey{GateKind::kIte, c, t, e}];
+    if (out != 0) return out;
+    out = cnf_->NewVar();
     cnf_->AddTernary(-c, -t, out);
     cnf_->AddTernary(-c, t, -out);
     cnf_->AddTernary(c, -e, out);

@@ -8,6 +8,13 @@
 /// significant bit first. Gate-level peepholes keep circuits involving
 /// constant bits small (comparisons against literals, which dominate path
 /// conditions, largely collapse).
+///
+/// Gates are structurally hashed: AND, XOR and ITE gates are keyed by
+/// their normalized input literals, and a gate whose key was built before
+/// returns the existing output literal without allocating a variable or
+/// clauses. Structurally equal expressions therefore lower to the same
+/// literals even when they are distinct nodes, so a formula grows only
+/// with distinct circuits.
 
 #include <cstdint>
 #include <unordered_map>
@@ -22,10 +29,12 @@ namespace chef::solver {
 /// satisfying SAT model can be mapped back to bitvector values.
 ///
 /// The node→literal memo owns a reference to every node it caches, so a
-/// BitBlaster may outlive the queries it served: a long-lived instance
-/// (the solver's incremental session) blasts a path's shared prefix once
-/// and answers later queries' repeated nodes from the memo, appending
-/// only the new nodes' clauses to the formula.
+/// BitBlaster may outlive the queries it served. The memo only saves
+/// walking a node twice; sharing comes from the gate table, which is
+/// structural. A long-lived instance (the solver's incremental session)
+/// sees every run rebuild its path condition from new nodes; the gate
+/// table maps each rebuilt prefix onto the circuit an earlier run already
+/// blasted, so only circuits no earlier query built append clauses.
 class BitBlaster
 {
   public:
@@ -94,6 +103,32 @@ class BitBlaster
 
     std::vector<Lit> BlastNode(const Expr* e);
 
+    /// Structural-hash key of a gate over normalized inputs: AND sorts
+    /// its inputs; XOR sorts their absolute values and carries the output
+    /// polarity outside the table; ITE makes its condition positive by
+    /// swapping the branches. Unused inputs are 0.
+    enum class GateKind : uint8_t { kAnd, kXor, kIte };
+    struct GateKey {
+        GateKind kind;
+        Lit a, b, c;
+        bool operator==(const GateKey& other) const
+        {
+            return kind == other.kind && a == other.a && b == other.b &&
+                   c == other.c;
+        }
+    };
+    struct GateKeyHash {
+        size_t operator()(const GateKey& key) const
+        {
+            uint64_t h = static_cast<uint64_t>(key.kind);
+            for (const Lit lit : {key.a, key.b, key.c}) {
+                h = (h ^ static_cast<uint32_t>(lit)) *
+                    0x9e3779b97f4a7c15ull;
+            }
+            return static_cast<size_t>(h ^ (h >> 29));
+        }
+    };
+
     /// Memo entry; owns the node so pointer-keyed entries stay valid for
     /// the blaster's whole lifetime (a dead node's address could
     /// otherwise be reused by a structurally different expression).
@@ -105,6 +140,8 @@ class BitBlaster
     CnfFormula* cnf_;
     Lit true_lit_ = 0;
     std::unordered_map<const Expr*, BlastedNode> cache_;
+    /// Gate output literal by normalized inputs (the structural hash).
+    std::unordered_map<GateKey, Lit, GateKeyHash> gates_;
     std::unordered_map<uint32_t, VarInfo> vars_;
 };
 

@@ -15,6 +15,12 @@ namespace chef::solver {
 
 namespace {
 
+double
+Seconds(std::chrono::steady_clock::duration elapsed)
+{
+    return std::chrono::duration<double>(elapsed).count();
+}
+
 /// Accumulates the enclosing scope's wall time into a stats field on every
 /// exit path (Solve returns from many places), and optionally mirrors the
 /// sample into a latency histogram and the attribution profiler (which
@@ -428,6 +434,8 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
 
     SatStatus status;
     Assignment extracted;
+    // Stage boundaries for blast_seconds and the CDCL outcome split.
+    std::chrono::steady_clock::time_point blast_start, cdcl_start, cdcl_end;
 
     if (options_.enable_incremental_sat) {
         if (session_ == nullptr) {
@@ -436,6 +444,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             sat_options.max_learned_clauses = options_.max_learned_clauses;
             session_ = std::make_unique<SatSession>(sat_options);
         }
+        blast_start = std::chrono::steady_clock::now();
         const size_t clauses_before = session_->cnf.clauses().size();
         const int vars_before = session_->cnf.num_vars();
         std::vector<Lit> assumptions;
@@ -450,7 +459,9 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         ++stats_.incremental_sat_calls;
         const size_t loaded_before = session_->sat.loaded_clauses();
         const uint64_t purged_before = session_->sat.stats().purged_clauses;
+        cdcl_start = std::chrono::steady_clock::now();
         status = session_->sat.SolveIncremental(session_->cnf, assumptions);
+        cdcl_end = std::chrono::steady_clock::now();
         stats_.clauses_loaded +=
             session_->sat.loaded_clauses() - loaded_before;
         stats_.learned_clauses_purged +=
@@ -470,6 +481,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             }
         }
     } else {
+        blast_start = std::chrono::steady_clock::now();
         CnfFormula cnf;
         BitBlaster blaster(&cnf);
         for (const ExprRef& assertion : live) {
@@ -482,9 +494,11 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         SatSolver::Options sat_options;
         sat_options.max_conflicts = options_.max_conflicts;
         sat_options.max_learned_clauses = options_.max_learned_clauses;
+        cdcl_start = std::chrono::steady_clock::now();
         SatSolver sat(sat_options);
         ++stats_.sat_calls;
         status = sat.Solve(cnf);
+        cdcl_end = std::chrono::steady_clock::now();
         stats_.learned_clauses_purged += sat.stats().purged_clauses;
         if (status == SatStatus::kSat) {
             for (const auto& [var_id, info] : blaster.variables()) {
@@ -492,6 +506,11 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             }
         }
     }
+
+    stats_.blast_seconds += Seconds(cdcl_start - blast_start);
+    (status == SatStatus::kSat ? stats_.cdcl_sat_seconds
+                               : stats_.cdcl_unsat_seconds) +=
+        Seconds(cdcl_end - cdcl_start);
 
     if (status == SatStatus::kUnknown) {
         return QueryResult::kUnknown;

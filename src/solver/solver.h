@@ -18,8 +18,10 @@
 /// negated branch condition does real work. Slices that miss every cache
 /// reach the SAT backend through a persistent incremental session: one
 /// BitBlaster + CDCL instance per Solver, queried under assumptions, so
-/// shared prefix nodes are blasted and CNF-loaded once per session and
-/// learned clauses carry over between queries.
+/// learned clauses carry over between queries. The blaster hashes gates
+/// structurally, so a prefix that a later run rebuilds from new nodes
+/// maps onto the circuit already in the session: the session formula
+/// grows only with distinct circuits, not with the number of runs.
 ///
 /// The cache accelerations also exist at batch scope: when
 /// Options::shared_cache points at a cache::SharedSolverCache, slices
@@ -106,6 +108,13 @@ struct SolverStats {
     uint64_t learned_clauses_purged = 0;
     /// Wall time spent inside Solve(), including cache probes and SAT.
     double solve_seconds = 0.0;
+    /// The SAT stage's share of solve_seconds, split at its two
+    /// boundaries: lowering assertions to CNF, then the CDCL search,
+    /// charged by outcome (unsat_seconds also takes the rare calls that
+    /// ran out of conflict budget).
+    double blast_seconds = 0.0;
+    double cdcl_sat_seconds = 0.0;
+    double cdcl_unsat_seconds = 0.0;
 };
 
 /// Constraint solver over bitvector assertions.
@@ -187,9 +196,9 @@ class Solver
         std::list<uint64_t>::iterator lru_it;
     };
 
-    /// The persistent incremental backend: one formula that only grows,
-    /// one blaster memo keyed by expression node, one CDCL instance that
-    /// keeps its learned clauses. Created lazily on the first SAT call
+    /// The persistent incremental backend: one formula that grows by
+    /// distinct circuits, one structurally hashing blaster, one CDCL
+    /// instance that keeps its learned clauses. Created lazily on the first SAT call
     /// when Options::enable_incremental_sat is set.
     struct SatSession {
         CnfFormula cnf;

@@ -48,6 +48,23 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms must be replaced too: the library's own versions
+// allocate with the unreplaced operator new, which the free() in the
+// replaced operator delete below would not match (std::stable_sort's
+// temporary buffer takes this path, and ASan aborts on the mismatch).
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void* ptr) noexcept
 {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "solver/expr.h"
 #include "solver/sat.h"
 #include "support/rng.h"
@@ -218,6 +222,201 @@ TEST(BitBlast, StringEqualityStyleConstraints)
     ASSERT_EQ(CheckSat(all, &model), SatStatus::kSat);
     for (int i = 0; i < 4; ++i) {
         EXPECT_EQ(model.Get(10 + i), static_cast<uint8_t>(word[i]));
+    }
+}
+
+TEST(BitBlast, StructurallyEqualExpressionsShareOneCircuit)
+{
+    // Two separately built nodes for (x + 17) <u y: the second blast must
+    // find every gate of the first in the structural hash and add nothing.
+    const auto build = [] {
+        return MakeUlt(MakeAdd(MakeVar(1, "x", 32), MakeConst(17, 32)),
+                       MakeVar(2, "y", 32));
+    };
+    const ExprRef first = build();
+    const ExprRef second = build();
+    ASSERT_NE(first.get(), second.get());
+    CnfFormula cnf;
+    BitBlaster blaster(&cnf);
+    const Lit lit = blaster.BlastBool(first);
+    const size_t clauses = cnf.clauses().size();
+    const int vars = cnf.num_vars();
+    EXPECT_EQ(blaster.BlastBool(second), lit);
+    EXPECT_EQ(cnf.clauses().size(), clauses);
+    EXPECT_EQ(cnf.num_vars(), vars);
+}
+
+/// Random width-1 circuit over \p inputs variables: \p gates And, Or,
+/// Xor and Ite nodes whose operands and conditions are negated at random.
+/// Returns every node; the same seed builds a structurally equal DAG out
+/// of new nodes.
+std::vector<ExprRef>
+RandomBoolCircuit(uint64_t seed, int inputs, int gates)
+{
+    Rng rng(seed);
+    std::vector<ExprRef> nodes;
+    for (int i = 0; i < inputs; ++i) {
+        nodes.push_back(MakeVar(static_cast<uint32_t>(i + 1),
+                                "v" + std::to_string(i), 1));
+    }
+    const auto pick = [&] {
+        const ExprRef& node = nodes[rng.NextBelow(nodes.size())];
+        return rng.NextBelow(2) == 0 ? MakeBoolNot(node) : node;
+    };
+    for (int g = 0; g < gates; ++g) {
+        const uint64_t op = rng.NextBelow(4);
+        const ExprRef a = pick();
+        const ExprRef b = pick();
+        if (op == 0) {
+            nodes.push_back(MakeAnd(a, b));
+        } else if (op == 1) {
+            nodes.push_back(MakeOr(a, b));
+        } else if (op == 2) {
+            nodes.push_back(MakeXor(a, b));
+        } else {
+            nodes.push_back(MakeIte(a, b, pick()));
+        }
+    }
+    return nodes;
+}
+
+/// Plain Tseitin encoding of a width-1 circuit with no structural hashing:
+/// one fresh variable per node, sharing only the input variables that
+/// \p blaster allocated.
+class UnhashedEncoder
+{
+  public:
+    UnhashedEncoder(CnfFormula* cnf, const BitBlaster& blaster)
+        : cnf_(cnf), blaster_(blaster)
+    {
+    }
+
+    Lit Encode(const ExprRef& e)
+    {
+        auto it = memo_.find(e.get());
+        if (it != memo_.end()) {
+            return it->second;
+        }
+        Lit out = 0;
+        switch (e->kind()) {
+          case ExprKind::kVariable:
+            out = blaster_.variables().at(e->var_id()).bits[0];
+            break;
+          case ExprKind::kConstant:
+            out = cnf_->NewVar();
+            cnf_->AddUnit(e->constant_value() != 0 ? out : -out);
+            break;
+          case ExprKind::kNot:
+            out = -Encode(e->a());
+            break;
+          case ExprKind::kAnd:
+          case ExprKind::kOr: {
+            // a | b == -(-a & -b).
+            const Lit sign = e->kind() == ExprKind::kOr ? -1 : 1;
+            const Lit a = sign * Encode(e->a());
+            const Lit b = sign * Encode(e->b());
+            out = cnf_->NewVar();
+            cnf_->AddTernary(-a, -b, out);
+            cnf_->AddBinary(a, -out);
+            cnf_->AddBinary(b, -out);
+            out *= sign;
+            break;
+          }
+          case ExprKind::kXor: {
+            const Lit a = Encode(e->a());
+            const Lit b = Encode(e->b());
+            out = cnf_->NewVar();
+            cnf_->AddTernary(-out, a, b);
+            cnf_->AddTernary(-out, -a, -b);
+            cnf_->AddTernary(out, -a, b);
+            cnf_->AddTernary(out, a, -b);
+            break;
+          }
+          case ExprKind::kIte: {
+            const Lit c = Encode(e->a());
+            const Lit t = Encode(e->b());
+            const Lit f = Encode(e->c());
+            out = cnf_->NewVar();
+            cnf_->AddTernary(-c, -t, out);
+            cnf_->AddTernary(-c, t, -out);
+            cnf_->AddTernary(c, -f, out);
+            cnf_->AddTernary(c, f, -out);
+            break;
+          }
+          default:
+            ADD_FAILURE() << "unexpected node " << e->ToString();
+            out = cnf_->NewVar();
+        }
+        memo_.emplace(e.get(), out);
+        return out;
+    }
+
+  private:
+    CnfFormula* cnf_;
+    const BitBlaster& blaster_;
+    std::unordered_map<const Expr*, Lit> memo_;
+};
+
+bool
+LitValue(const SatSolver& sat, Lit lit)
+{
+    return lit > 0 ? sat.ModelValue(lit) : !sat.ModelValue(-lit);
+}
+
+TEST(BitBlast, StrashedCircuitsAgreeWithUnhashedOnRandomInputs)
+{
+    constexpr int kInputs = 6;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        const std::vector<ExprRef> nodes =
+            RandomBoolCircuit(seed, kInputs, 40);
+        CnfFormula cnf;
+        BitBlaster blaster(&cnf);
+        std::vector<Lit> strashed;
+        for (const ExprRef& node : nodes) {
+            strashed.push_back(blaster.BlastBool(node));
+        }
+
+        // A structurally equal rebuild maps onto the same literals and
+        // adds no clauses.
+        const size_t clauses = cnf.clauses().size();
+        const std::vector<ExprRef> rebuilt =
+            RandomBoolCircuit(seed, kInputs, 40);
+        for (size_t i = 0; i < rebuilt.size(); ++i) {
+            EXPECT_EQ(blaster.BlastBool(rebuilt[i]), strashed[i])
+                << "seed " << seed << " node " << i;
+        }
+        EXPECT_EQ(cnf.clauses().size(), clauses) << "seed " << seed;
+
+        // The unhashed encoding of the same nodes, over the same inputs,
+        // goes into the same formula; pinning the inputs must give every
+        // node one value in both circuits, and the evaluator's.
+        UnhashedEncoder unhashed_encoder(&cnf, blaster);
+        std::vector<Lit> unhashed;
+        for (const ExprRef& node : nodes) {
+            unhashed.push_back(unhashed_encoder.Encode(node));
+        }
+        SatSolver sat;
+        Rng rng(seed * 7919);
+        for (int trial = 0; trial < 16; ++trial) {
+            Assignment inputs;
+            std::vector<Lit> assumptions;
+            for (int i = 0; i < kInputs; ++i) {
+                const uint32_t var_id = static_cast<uint32_t>(i + 1);
+                const bool value = rng.NextBelow(2) == 1;
+                inputs.Set(var_id, value ? 1 : 0);
+                const Lit bit = blaster.variables().at(var_id).bits[0];
+                assumptions.push_back(value ? bit : -bit);
+            }
+            ASSERT_EQ(sat.SolveIncremental(cnf, assumptions),
+                      SatStatus::kSat);
+            for (size_t i = 0; i < nodes.size(); ++i) {
+                const bool expected = EvalConcrete(nodes[i], inputs) != 0;
+                EXPECT_EQ(LitValue(sat, strashed[i]), expected)
+                    << "seed " << seed << " node " << i;
+                EXPECT_EQ(LitValue(sat, unhashed[i]), expected)
+                    << "seed " << seed << " node " << i;
+            }
+        }
     }
 }
 

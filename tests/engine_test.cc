@@ -392,7 +392,11 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
     return digest;
 }
 
-// Golden digests captured from the pre-refactor serial engine (PR 8 tree).
+// Golden digests of the serial engine. The engine loop is unchanged since
+// the pre-refactor serial engine; the table was re-captured when the
+// bit-blaster gained structural gate hashing: the digest includes SAT
+// models, and CDCL finds different (equally valid) models on the smaller
+// hashed formula.
 // exploration_threads = 1 must keep reproducing these bit-for-bit.
 TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
 {
@@ -401,16 +405,16 @@ TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
         uint64_t seed;
         uint64_t digest;
     } kGolden[] = {
-        {StrategyKind::kRandom, 1ull, 0x068784a2759f82a0ull},
-        {StrategyKind::kRandom, 42ull, 0xca2b00389b6274a4ull},
-        {StrategyKind::kDfs, 1ull, 0x2f07e68b3918b941ull},
-        {StrategyKind::kDfs, 42ull, 0x2f07e68b3918b941ull},
-        {StrategyKind::kBfs, 1ull, 0x98643f5de6c71e91ull},
-        {StrategyKind::kBfs, 42ull, 0x98643f5de6c71e91ull},
-        {StrategyKind::kCupaPath, 1ull, 0x3f4f124163cce5deull},
-        {StrategyKind::kCupaPath, 42ull, 0x2cbd7864cb409844ull},
-        {StrategyKind::kCupaCoverage, 1ull, 0xcae8f67f9c61359bull},
-        {StrategyKind::kCupaCoverage, 42ull, 0x726b7dae98c97713ull},
+        {StrategyKind::kRandom, 1ull, 0xc44446262a5bc579ull},
+        {StrategyKind::kRandom, 42ull, 0xf2bcacb366c98e6eull},
+        {StrategyKind::kDfs, 1ull, 0x69f29ccd241caa04ull},
+        {StrategyKind::kDfs, 42ull, 0x69f29ccd241caa04ull},
+        {StrategyKind::kBfs, 1ull, 0x1d9d37a7a147d590ull},
+        {StrategyKind::kBfs, 42ull, 0x1d9d37a7a147d590ull},
+        {StrategyKind::kCupaPath, 1ull, 0x0220a89324fc4d7dull},
+        {StrategyKind::kCupaPath, 42ull, 0x12aefef4c11979c3ull},
+        {StrategyKind::kCupaCoverage, 1ull, 0xf19f3a9b0d26bda9ull},
+        {StrategyKind::kCupaCoverage, 42ull, 0x51b2b9e36830b1a9ull},
     };
     for (const auto& golden : kGolden) {
         EXPECT_EQ(SessionDigest(golden.strategy, golden.seed, 1),

@@ -121,12 +121,66 @@ TEST(Solver, DisablingCacheForcesResolve)
     EXPECT_EQ(solver.stats().sat_calls, 2u);
 }
 
+TEST(Solver, RebuiltQueryAddsNoClausesToIncrementalSession)
+{
+    // Every engine run rebuilds its path condition from new nodes; the
+    // incremental session must map the rebuild onto the circuit it
+    // already holds instead of loading a second copy.
+    Solver::Options options;
+    options.enable_query_cache = false;
+    options.enable_model_reuse = false;
+    Solver solver(options);
+    const auto build = [] {
+        const ExprRef x = MakeVar(1, "x", 32);
+        const ExprRef y = MakeVar(2, "y", 32);
+        return std::vector<ExprRef>{
+            MakeUlt(MakeAdd(x, MakeConst(17, 32)), y),
+            MakeEq(MakeAnd(MakeXor(x, y), MakeConst(0xff, 32)),
+                   MakeConst(0x5a, 32)),
+        };
+    };
+    ASSERT_EQ(solver.Solve(build(), nullptr), QueryResult::kSat);
+    const uint64_t clauses = solver.stats().cnf_clauses;
+    ASSERT_EQ(solver.Solve(build(), nullptr), QueryResult::kSat);
+    EXPECT_EQ(solver.stats().incremental_sat_calls, 2u);
+    EXPECT_EQ(solver.stats().cnf_clauses, clauses);
+}
+
+TEST(Solver, SatStageSecondsSplitByOutcome)
+{
+    Solver::Options options;
+    options.enable_query_cache = false;
+    options.enable_model_reuse = false;
+    Solver solver(options);
+    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef y = MakeVar(2, "y", 16);
+    const ExprRef sum = MakeEq(MakeAdd(x, y), MakeConst(300, 16));
+    ASSERT_EQ(solver.Solve({sum, MakeUlt(x, MakeConst(10, 16))}, nullptr),
+              QueryResult::kSat);
+    EXPECT_GT(solver.stats().blast_seconds, 0.0);
+    EXPECT_GT(solver.stats().cdcl_sat_seconds, 0.0);
+    EXPECT_EQ(solver.stats().cdcl_unsat_seconds, 0.0);
+    // Not a syntactic contradiction, so it reaches CDCL.
+    ASSERT_EQ(solver.Solve({sum, MakeUlt(x, MakeConst(10, 16)),
+                            MakeUlt(y, MakeConst(200, 16))},
+                           nullptr),
+              QueryResult::kUnsat);
+    EXPECT_GT(solver.stats().cdcl_unsat_seconds, 0.0);
+    EXPECT_LE(solver.stats().blast_seconds +
+                  solver.stats().cdcl_sat_seconds +
+                  solver.stats().cdcl_unsat_seconds,
+              solver.stats().solve_seconds);
+}
+
 TEST(Solver, TinyLearnedClauseCapKeepsOutcomesCorrect)
 {
     // An aggressive purge cap must never change sat/unsat answers — only
     // how much past search effort the persistent session remembers. (64
     // forces several purges on this battery but is not degenerate: caps
-    // near zero turn every conflict into a root restart.)
+    // near zero turn every conflict into a root restart.) The queries are
+    // hard in themselves: each round factors a product of two 12-bit
+    // primes (sat), then asks for a factor pair of a product of two
+    // 10-bit primes that excludes both primes (unsat).
     Solver::Options options;
     options.max_learned_clauses = 64;
     options.enable_query_cache = false;
@@ -134,20 +188,39 @@ TEST(Solver, TinyLearnedClauseCapKeepsOutcomesCorrect)
     Solver capped(options);
     Solver reference;
 
-    const ExprRef x = MakeVar(1, "x", 16);
-    const ExprRef y = MakeVar(2, "y", 16);
-    Rng rng(7);
-    for (int i = 0; i < 12; ++i) {
-        const uint64_t sum = 100 + rng.NextBelow(400);
-        const uint64_t low = rng.NextBelow(300);
+    const auto factoring = [](uint32_t first_var, int width, uint64_t p,
+                              uint64_t q, bool exclude_factors) {
+        const ExprRef x = MakeVar(first_var, "x", width);
+        const ExprRef y = MakeVar(first_var + 1, "y", width);
         std::vector<ExprRef> assertions = {
-            MakeEq(MakeAdd(x, y), MakeConst(sum, 16)),
-            MakeUgt(x, MakeConst(low, 16)),
-            MakeUlt(y, MakeConst(50 + rng.NextBelow(200), 16)),
+            MakeEq(MakeMul(MakeZExt(x, 2 * width), MakeZExt(y, 2 * width)),
+                   MakeConst(p * q, 2 * width)),
+            MakeUgt(x, MakeConst(1, width)),
+            MakeUgt(y, MakeConst(1, width)),
         };
-        Assignment model;
-        const QueryResult expected = reference.Solve(assertions, nullptr);
-        ASSERT_EQ(capped.Solve(assertions, &model), expected) << i;
+        if (exclude_factors) {
+            assertions.push_back(MakeNe(x, MakeConst(p, width)));
+            assertions.push_back(MakeNe(x, MakeConst(q, width)));
+        }
+        return assertions;
+    };
+    const uint64_t kRounds[][4] = {
+        {2003, 2011, 1019, 1021}, {1999, 1997, 1013, 1019},
+        {3001, 3011, 1009, 1021}, {2503, 2521, 1009, 1013},
+        {1009, 3967, 997, 1019},
+    };
+    for (const auto& round : kRounds) {
+        const std::vector<ExprRef> sat_query =
+            factoring(1, 12, round[0], round[1], false);
+        const std::vector<ExprRef> unsat_query =
+            factoring(3, 10, round[2], round[3], true);
+        EXPECT_EQ(reference.Solve(sat_query, nullptr), QueryResult::kSat);
+        EXPECT_EQ(reference.Solve(unsat_query, nullptr),
+                  QueryResult::kUnsat);
+        ASSERT_EQ(capped.Solve(sat_query, nullptr), QueryResult::kSat)
+            << round[0] << " * " << round[1];
+        ASSERT_EQ(capped.Solve(unsat_query, nullptr), QueryResult::kUnsat)
+            << round[2] << " * " << round[3];
     }
     // The capped session really purged (so the equal outcomes above
     // exercised the purge path); the uncapped reference never did.
