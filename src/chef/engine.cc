@@ -469,6 +469,11 @@ Engine::Explore(const RunFn& run)
                     if (m_infeasible_ != nullptr) {
                         m_infeasible_->Add();
                     }
+                    if (options_.obs.attribution != nullptr) {
+                        options_.obs.attribution->Charge(
+                            state.static_hlpc,
+                            obs::AttributionProfiler::kInfeasible);
+                    }
                 } else {
                     ++stats_.solver_failures;
                 }

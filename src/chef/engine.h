@@ -155,10 +155,12 @@ struct EngineStats {
     /// Per-location cost/yield table (obs/attribution.h). Empty unless
     /// Options::obs.attribution was set; the engine charges steps,
     /// forks, runs, assume-failures and new fingerprints on the serial
-    /// commit path (thread-count-invariant in round mode), the session
-    /// solver charges wall time per query, round-mode worker solvers'
-    /// queries and wall time are charged to the root location (hl_pc 0)
-    /// at commit, and FinalizeStats snapshots the profiler here.
+    /// commit path and infeasible states to their fork location in the
+    /// serial select loop (thread-count-invariant in round mode), the
+    /// session solver charges wall time per query, round-mode worker
+    /// solvers' queries and wall time are charged to the root location
+    /// (hl_pc 0) at commit, and FinalizeStats snapshots the profiler
+    /// here.
     obs::AttributionSnapshot attribution;
     /// Frontier view at session end: pending depth histogram, tree
     /// branching factor, and the strategy's pick count.

@@ -12,12 +12,21 @@ namespace chef::obs {
 
 namespace {
 
-/// Row column charged by each CounterKind.
-constexpr uint64_t AttributionRow::*kCounterColumns[] = {
-    &AttributionRow::solver_nanos,     &AttributionRow::solver_queries,
-    &AttributionRow::steps,            &AttributionRow::forks,
-    &AttributionRow::assume_failures,  &AttributionRow::new_fingerprints,
-    &AttributionRow::runs,
+/// Row column charged by each CounterKind, with its JSON key. Merging,
+/// comparison and serialization all walk this table.
+struct CounterColumn {
+    const char* name;
+    uint64_t AttributionRow::*member;
+};
+constexpr CounterColumn kCounterColumns[] = {
+    {"solver_nanos", &AttributionRow::solver_nanos},
+    {"solver_queries", &AttributionRow::solver_queries},
+    {"steps", &AttributionRow::steps},
+    {"forks", &AttributionRow::forks},
+    {"assume_failures", &AttributionRow::assume_failures},
+    {"new_fingerprints", &AttributionRow::new_fingerprints},
+    {"runs", &AttributionRow::runs},
+    {"infeasible", &AttributionRow::infeasible},
 };
 static_assert(std::size(kCounterColumns) ==
               AttributionProfiler::kCounterKinds);
@@ -36,13 +45,9 @@ AttributionSnapshot::MergeFrom(const AttributionSnapshot& other)
         std::map<uint64_t, AttributionRow>& mine = workloads[workload];
         for (const auto& [hl_pc, row] : table) {
             AttributionRow& target = mine[hl_pc];
-            target.solver_nanos += row.solver_nanos;
-            target.solver_queries += row.solver_queries;
-            target.steps += row.steps;
-            target.forks += row.forks;
-            target.assume_failures += row.assume_failures;
-            target.new_fingerprints += row.new_fingerprints;
-            target.runs += row.runs;
+            for (const CounterColumn& column : kCounterColumns) {
+                target.*column.member += row.*column.member;
+            }
             // min over recorded parents: a pure function of the operand
             // set, so merge order cannot change the result.
             target.parent = std::min(target.parent, row.parent);
@@ -97,12 +102,11 @@ AttributionCountsEqual(const AttributionSnapshot& a,
                 return false;
             }
             const AttributionRow& other = row_it->second;
-            if (row.solver_queries != other.solver_queries ||
-                row.steps != other.steps || row.forks != other.forks ||
-                row.assume_failures != other.assume_failures ||
-                row.new_fingerprints != other.new_fingerprints ||
-                row.runs != other.runs) {
-                return false;
+            for (const CounterColumn& column : kCounterColumns) {
+                if (column.member != &AttributionRow::solver_nanos &&
+                    row.*column.member != other.*column.member) {
+                    return false;
+                }
             }
         }
     }
@@ -121,7 +125,7 @@ void
 AttributionProfiler::Charge(uint64_t hl_pc, CounterKind kind,
                             uint64_t delta)
 {
-    rows_[hl_pc].*kCounterColumns[kind] += delta;
+    rows_[hl_pc].*kCounterColumns[kind].member += delta;
 }
 
 void
@@ -132,7 +136,7 @@ AttributionProfiler::ChargeWithParent(uint64_t hl_pc, uint64_t parent,
     if (row.parent == kAttributionNoParent && parent != hl_pc) {
         row.parent = parent;
     }
-    row.*kCounterColumns[kind] += delta;
+    row.*kCounterColumns[kind].member += delta;
 }
 
 void
@@ -206,13 +210,9 @@ WriteAttributionSnapshot(support::JsonWriter& json,
             if (row.parent != kAttributionNoParent) {
                 json.Key("parent"), json.HexValue(row.parent);
             }
-            json.Key("solver_nanos"), json.Value(row.solver_nanos);
-            json.Key("solver_queries"), json.Value(row.solver_queries);
-            json.Key("steps"), json.Value(row.steps);
-            json.Key("forks"), json.Value(row.forks);
-            json.Key("assume_failures"), json.Value(row.assume_failures);
-            json.Key("new_fingerprints"), json.Value(row.new_fingerprints);
-            json.Key("runs"), json.Value(row.runs);
+            for (const CounterColumn& column : kCounterColumns) {
+                json.Key(column.name), json.Value(row.*column.member);
+            }
             json.EndObject();
         }
         json.EndArray();
@@ -256,14 +256,9 @@ DecodeAttributionSnapshot(const support::JsonValue& object,
             }
             AttributionRow& row = table[hl_pc];
             location.GetUint64("parent", &row.parent);
-            location.GetUint64("solver_nanos", &row.solver_nanos);
-            location.GetUint64("solver_queries", &row.solver_queries);
-            location.GetUint64("steps", &row.steps);
-            location.GetUint64("forks", &row.forks);
-            location.GetUint64("assume_failures", &row.assume_failures);
-            location.GetUint64("new_fingerprints",
-                               &row.new_fingerprints);
-            location.GetUint64("runs", &row.runs);
+            for (const CounterColumn& column : kCounterColumns) {
+                location.GetUint64(column.name, &(row.*column.member));
+            }
         }
     }
     return true;
@@ -326,9 +321,9 @@ AppendHotTable(std::string* out, const std::vector<HotRow>& rows,
 {
     char line[192];
     std::snprintf(line, sizeof(line),
-                  "  %-18s %-12s %9s %8s %6s %6s %12s\n", "workload",
-                  "hl_pc", "solver_s", "queries", "forks", "new_fp",
-                  "fp/solver_s");
+                  "  %-18s %-12s %9s %8s %6s %6s %6s %12s\n", "workload",
+                  "hl_pc", "solver_s", "queries", "forks", "infeas",
+                  "new_fp", "fp/solver_s");
     *out += line;
     for (size_t i = 0; i < rows.size() && i < top_n; ++i) {
         const HotRow& hot = rows[i];
@@ -343,10 +338,11 @@ AppendHotTable(std::string* out, const std::vector<HotRow>& rows,
         std::snprintf(hex, sizeof(hex), "0x%" PRIx64, hot.hl_pc);
         std::snprintf(line, sizeof(line),
                       "  %-18.18s %-12s %9.4f %8" PRIu64 " %6" PRIu64
-                      " %6" PRIu64 " %12.1f\n",
+                      " %6" PRIu64 " %6" PRIu64 " %12.1f\n",
                       hot.workload->c_str(), hex, solver_seconds,
                       hot.row->solver_queries, hot.row->forks,
-                      hot.row->new_fingerprints, yield);
+                      hot.row->infeasible, hot.row->new_fingerprints,
+                      yield);
         *out += line;
     }
 }

@@ -8,10 +8,10 @@
 /// The telemetry layers below (metrics, traces, time series) say how
 /// much the system spends; this layer says *where in the guest program*
 /// the spend goes. Every unit of work — a solver wall-nanosecond, an
-/// interpreted step, a fork, an assume-failure, a new HL fingerprint —
-/// is charged to the (workload, hl_pc) location that incurred it, so
-/// "why is this workload plateauing" becomes a table lookup instead of
-/// guesswork.
+/// interpreted step, a fork, a fork proved infeasible, an
+/// assume-failure, a new HL fingerprint — is charged to the (workload,
+/// hl_pc) location that incurred it, so "why is this workload
+/// plateauing" becomes a table lookup instead of guesswork.
 ///
 /// Ownership: one profiler per job, owned and charged by that job's
 /// engine driver thread — the same thread that owns the execution tree
@@ -67,6 +67,8 @@ struct AttributionRow {
     uint64_t assume_failures = 0;   ///< Assumption-violation retries.
     uint64_t new_fingerprints = 0;  ///< New HL path fingerprints (yield).
     uint64_t runs = 0;              ///< Concolic runs originating here.
+    /// States forked here that the solver then proved unreachable.
+    uint64_t infeasible = 0;
     /// Discovery predecessor (the first recorded hl_pc observed
     /// immediately before this location), or kAttributionNoParent.
     uint64_t parent = kAttributionNoParent;
@@ -74,7 +76,7 @@ struct AttributionRow {
     uint64_t TotalCharges() const
     {
         return solver_queries + steps + forks + assume_failures +
-               new_fingerprints + runs;
+               new_fingerprints + runs + infeasible;
     }
 };
 
@@ -104,7 +106,8 @@ struct AttributionSnapshot {
 
 /// True when the two snapshots agree on every deterministic column:
 /// same workloads, same locations, and equal solver_queries / steps /
-/// forks / assume_failures / new_fingerprints / runs per location.
+/// forks / assume_failures / new_fingerprints / runs / infeasible per
+/// location.
 /// solver_nanos (wall time) is excluded — it varies run to run even
 /// when exploration is bit-identical.
 bool AttributionCountsEqual(const AttributionSnapshot& a,
@@ -124,6 +127,7 @@ class AttributionProfiler
         kAssumeFailures,
         kNewFingerprints,
         kRuns,
+        kInfeasible,
         kCounterKinds,
     };
 
@@ -225,8 +229,9 @@ std::string RenderAttributionFoldedStacks(
 
 /// Renders the "hot locations" monitor panel: the top \p top_n
 /// locations by solver-seconds and by fingerprints per solver-second
-/// (yield), fixed-width columns, one location per row. Empty string for
-/// an empty snapshot.
+/// (yield), fixed-width columns, one location per row; the infeas
+/// column counts the location's forks that proved infeasible. Empty
+/// string for an empty snapshot.
 std::string RenderHotLocations(const AttributionSnapshot& snapshot,
                                size_t top_n);
 

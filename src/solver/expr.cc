@@ -62,6 +62,224 @@ SignExtend(uint64_t value, int width)
     return static_cast<int64_t>((masked ^ sign_bit) - sign_bit);
 }
 
+namespace {
+
+/// Unsigned bounds [lo, hi] on a node's value; see Expr::lo().
+struct Range {
+    uint64_t lo;
+    uint64_t hi;
+};
+
+Range
+FullRange(int width)
+{
+    return {0, WidthMask(width)};
+}
+
+Range
+BoolRange(bool value)
+{
+    return {value, value};
+}
+
+/// The all-ones value with the same highest set bit as \p v: an upper
+/// bound on any or/xor of values no larger than \p v.
+uint64_t
+Smear(uint64_t v)
+{
+    v |= v >> 1;
+    v |= v >> 2;
+    v |= v >> 4;
+    v |= v >> 8;
+    v |= v >> 16;
+    v |= v >> 32;
+    return v;
+}
+
+/// a + b: exact when no sum or every sum wraps past the width once;
+/// otherwise the sums straddle the wrap point and cover both ends.
+Range
+AddRange(Range a, Range b, int width)
+{
+    const uint64_t mask = WidthMask(width);
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    const bool lo_wraps = __builtin_add_overflow(a.lo, b.lo, &lo) || lo > mask;
+    const bool hi_wraps = __builtin_add_overflow(a.hi, b.hi, &hi) || hi > mask;
+    if (lo_wraps != hi_wraps) {
+        return FullRange(width);
+    }
+    return {lo & mask, hi & mask};
+}
+
+/// a - b: exact when no difference or every difference borrows.
+Range
+SubRange(Range a, Range b, int width)
+{
+    const uint64_t mask = WidthMask(width);
+    if (a.lo >= b.hi || a.hi < b.lo) {
+        return {(a.lo - b.hi) & mask, (a.hi - b.lo) & mask};
+    }
+    return FullRange(width);
+}
+
+/// True when every value in \p r has the same sign bit at \p width, so
+/// the signed view of r is the interval [SignExtend(lo), SignExtend(hi)].
+bool
+SameSign(Range r, int width)
+{
+    const uint64_t sign_bit = 1ull << (width - 1);
+    return r.hi < sign_bit || r.lo >= sign_bit;
+}
+
+/// Decides a comparison from its operands' ranges: [v, v] when every
+/// assignment gives v, [0, 1] otherwise.
+Range
+CompareRange(ExprKind kind, Range a, Range b, int width)
+{
+    switch (kind) {
+      case ExprKind::kEq:
+        if (a.hi < b.lo || b.hi < a.lo) return BoolRange(false);
+        if (a.lo == a.hi && b.lo == b.hi) return BoolRange(true);
+        break;
+      case ExprKind::kUlt:
+        if (a.hi < b.lo) return BoolRange(true);
+        if (a.lo >= b.hi) return BoolRange(false);
+        break;
+      case ExprKind::kUle:
+        if (a.hi <= b.lo) return BoolRange(true);
+        if (a.lo > b.hi) return BoolRange(false);
+        break;
+      case ExprKind::kSlt:
+      case ExprKind::kSle: {
+        if (!SameSign(a, width) || !SameSign(b, width)) break;
+        const int64_t a_lo = SignExtend(a.lo, width);
+        const int64_t a_hi = SignExtend(a.hi, width);
+        const int64_t b_lo = SignExtend(b.lo, width);
+        const int64_t b_hi = SignExtend(b.hi, width);
+        if (kind == ExprKind::kSlt) {
+            if (a_hi < b_lo) return BoolRange(true);
+            if (a_lo >= b_hi) return BoolRange(false);
+        } else {
+            if (a_hi <= b_lo) return BoolRange(true);
+            if (a_lo > b_hi) return BoolRange(false);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    return {0, 1};
+}
+
+Range
+ComputeRange(ExprKind kind, int width, uint64_t value, int extract_offset,
+             const Expr* a, const Expr* b, const Expr* c)
+{
+    const uint64_t mask = WidthMask(width);
+    const Range ra = a ? Range{a->lo(), a->hi()} : Range{0, 0};
+    const Range rb = b ? Range{b->lo(), b->hi()} : Range{0, 0};
+    switch (kind) {
+      case ExprKind::kConstant:
+        return {value, value};
+      case ExprKind::kVariable:
+        return FullRange(width);
+      case ExprKind::kNot:
+        return {mask - ra.hi, mask - ra.lo};
+      case ExprKind::kNeg:
+        return SubRange({0, 0}, ra, width);
+      case ExprKind::kZExt:
+        return ra;
+      case ExprKind::kSExt: {
+        // Monotone in unsigned order: non-negative values keep their
+        // value, negative ones land above every non-negative one.
+        const auto extend = [&](uint64_t v) {
+            return static_cast<uint64_t>(SignExtend(v, a->width())) & mask;
+        };
+        return {extend(ra.lo), extend(ra.hi)};
+      }
+      case ExprKind::kExtract: {
+        const uint64_t lo = ra.lo >> extract_offset;
+        const uint64_t hi = ra.hi >> extract_offset;
+        if (width == 64 || (lo >> width) == (hi >> width)) {
+            return {lo & mask, hi & mask};
+        }
+        return FullRange(width);
+      }
+      case ExprKind::kAdd:
+        return AddRange(ra, rb, width);
+      case ExprKind::kSub:
+        return SubRange(ra, rb, width);
+      case ExprKind::kMul: {
+        uint64_t hi = 0;
+        if (__builtin_mul_overflow(ra.hi, rb.hi, &hi) || hi > mask) {
+            return FullRange(width);
+        }
+        return {ra.lo * rb.lo, hi};
+      }
+      case ExprKind::kUDiv:
+        // x udiv 0 is all ones.
+        if (rb.lo > 0) return {ra.lo / rb.hi, ra.hi / rb.lo};
+        if (rb.hi == 0) return {mask, mask};
+        return {ra.lo / rb.hi, mask};
+      case ExprKind::kURem:
+        // x urem y is x when x < y (y = 0 included), else below y; never
+        // above x.
+        if (rb.lo > ra.hi) return ra;
+        if (rb.lo > 0) return {0, std::min(ra.hi, rb.hi - 1)};
+        return {0, ra.hi};
+      case ExprKind::kAnd:
+        return {0, std::min(ra.hi, rb.hi)};
+      case ExprKind::kOr:
+        return {std::max(ra.lo, rb.lo), Smear(ra.hi | rb.hi)};
+      case ExprKind::kXor:
+        return {0, Smear(ra.hi | rb.hi)};
+      case ExprKind::kShl: {
+        const uint64_t w = static_cast<uint64_t>(width);
+        if (rb.lo >= w) return {0, 0};
+        if (rb.hi >= w) return FullRange(width);
+        const uint64_t hi = ra.hi << rb.hi;
+        if ((hi >> rb.hi) != ra.hi || hi > mask) {
+            return FullRange(width);
+        }
+        return {ra.lo << rb.lo, hi};
+      }
+      case ExprKind::kAShr:
+        if (ra.hi >= (1ull << (width - 1))) {
+            return FullRange(width);
+        }
+        [[fallthrough]];  // Non-negative: an arithmetic shift is logical.
+      case ExprKind::kLShr: {
+        // Shifts by the width or more give 0.
+        const uint64_t w = static_cast<uint64_t>(width);
+        return {rb.hi >= w ? 0 : ra.lo >> rb.hi,
+                rb.lo >= w ? 0 : ra.hi >> rb.lo};
+      }
+      case ExprKind::kConcat: {
+        const int low_width = b->width();
+        return {(ra.lo << low_width) | rb.lo, (ra.hi << low_width) | rb.hi};
+      }
+      case ExprKind::kEq:
+      case ExprKind::kUlt:
+      case ExprKind::kUle:
+      case ExprKind::kSlt:
+      case ExprKind::kSle:
+        return CompareRange(kind, ra, rb, a->width());
+      case ExprKind::kIte: {
+        if (ra.lo == ra.hi) {
+            return ra.lo ? rb : Range{c->lo(), c->hi()};
+        }
+        return {std::min(rb.lo, c->lo()), std::max(rb.hi, c->hi())};
+      }
+      case ExprKind::kSDiv:
+      case ExprKind::kSRem:
+        return FullRange(width);
+    }
+    return FullRange(width);
+}
+
+}  // namespace
+
 Expr::Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
            std::string name, int extract_offset, ExprRef a, ExprRef b,
            ExprRef c)
@@ -84,6 +302,10 @@ Expr::Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
     if (b_) h = HashCombine(h, b_->hash());
     if (c_) h = HashCombine(h, c_->hash());
     hash_ = h;
+    const Range range = ComputeRange(kind_, width, value_, extract_offset_,
+                                     a_.get(), b_.get(), c_.get());
+    lo_ = range.lo;
+    hi_ = range.hi;
 }
 
 bool
@@ -173,13 +395,18 @@ Assignment::entries() const
 
 namespace {
 
+/// Builds a node, or the constant its interval pins it to.
 ExprRef
 MakeNode(ExprKind kind, int width, ExprRef a, ExprRef b = nullptr,
          ExprRef c = nullptr, int extract_offset = 0)
 {
-    return std::make_shared<Expr>(kind, width, 0, 0, std::string(),
-                                  extract_offset, std::move(a), std::move(b),
-                                  std::move(c));
+    ExprRef node = std::make_shared<Expr>(kind, width, 0, 0, std::string(),
+                                          extract_offset, std::move(a),
+                                          std::move(b), std::move(c));
+    if (node->lo() == node->hi()) {
+        return MakeConst(node->lo(), width);
+    }
+    return node;
 }
 
 bool
@@ -579,9 +806,6 @@ ExprRef
 MakeEq(const ExprRef& a, const ExprRef& b)
 {
     CHEF_CHECK_SAME_WIDTH(a, b);
-    if (a->IsConstant() && b->IsConstant()) {
-        return MakeBool(a->constant_value() == b->constant_value());
-    }
     if (Expr::Equal(a, b)) {
         return MakeBool(true);
     }
@@ -608,10 +832,6 @@ ExprRef
 MakeUlt(const ExprRef& a, const ExprRef& b)
 {
     CHEF_CHECK_SAME_WIDTH(a, b);
-    if (a->IsConstant() && b->IsConstant()) {
-        return MakeBool(a->constant_value() < b->constant_value());
-    }
-    if (IsConst(b, 0)) return MakeBool(false);
     if (Expr::Equal(a, b)) return MakeBool(false);
     return MakeNode(ExprKind::kUlt, 1, a, b);
 }
@@ -620,10 +840,6 @@ ExprRef
 MakeUle(const ExprRef& a, const ExprRef& b)
 {
     CHEF_CHECK_SAME_WIDTH(a, b);
-    if (a->IsConstant() && b->IsConstant()) {
-        return MakeBool(a->constant_value() <= b->constant_value());
-    }
-    if (IsConst(a, 0)) return MakeBool(true);
     if (Expr::Equal(a, b)) return MakeBool(true);
     return MakeNode(ExprKind::kUle, 1, a, b);
 }
@@ -644,10 +860,6 @@ ExprRef
 MakeSlt(const ExprRef& a, const ExprRef& b)
 {
     CHEF_CHECK_SAME_WIDTH(a, b);
-    if (a->IsConstant() && b->IsConstant()) {
-        return MakeBool(SignExtend(a->constant_value(), a->width()) <
-                        SignExtend(b->constant_value(), b->width()));
-    }
     if (Expr::Equal(a, b)) return MakeBool(false);
     return MakeNode(ExprKind::kSlt, 1, a, b);
 }
@@ -656,10 +868,6 @@ ExprRef
 MakeSle(const ExprRef& a, const ExprRef& b)
 {
     CHEF_CHECK_SAME_WIDTH(a, b);
-    if (a->IsConstant() && b->IsConstant()) {
-        return MakeBool(SignExtend(a->constant_value(), a->width()) <=
-                        SignExtend(b->constant_value(), b->width()));
-    }
     if (Expr::Equal(a, b)) return MakeBool(true);
     return MakeNode(ExprKind::kSle, 1, a, b);
 }

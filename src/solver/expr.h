@@ -11,6 +11,15 @@
 /// factory functions in this header perform constant folding and light
 /// algebraic simplification so that fully concrete computations never reach
 /// the SAT backend.
+///
+/// Every node carries an unsigned interval summary [lo(), hi()] that holds
+/// its value under every assignment of its variables. The constructor
+/// derives it from the children's summaries, widening to the full range
+/// wherever a sum, difference, product or shift may wrap around the width.
+/// A factory whose node's interval is a single value returns that constant
+/// instead, so a comparison the intervals decide — say a sum of
+/// zero-extended bytes tested for being negative — never reaches the
+/// runtime as a symbolic branch and never forks a state.
 
 #include <cstdint>
 #include <functional>
@@ -54,6 +63,9 @@ int64_t SignExtend(uint64_t value, int width);
 
 /// A single immutable expression node. Construct only via the factory
 /// functions below, which fold constants eagerly.
+///
+/// Invariant: for every assignment, lo() <= EvalConcrete(node) <= hi().
+/// Nodes built by the factories are either constants or have lo() < hi().
 class Expr
 {
   public:
@@ -77,6 +89,11 @@ class Expr
     /// Structural hash, computed at construction.
     uint64_t hash() const { return hash_; }
 
+    /// Unsigned bounds on the node's value under every assignment,
+    /// computed at construction from the children's bounds.
+    uint64_t lo() const { return lo_; }
+    uint64_t hi() const { return hi_; }
+
     bool IsConstant() const { return kind_ == ExprKind::kConstant; }
     bool IsTrue() const { return IsConstant() && value_ == 1 && width_ == 1; }
     bool IsFalse() const { return IsConstant() && value_ == 0 && width_ == 1; }
@@ -99,6 +116,8 @@ class Expr
     uint32_t var_id_ = 0;
     uint64_t value_ = 0;
     uint64_t hash_ = 0;
+    uint64_t lo_ = 0;
+    uint64_t hi_ = 0;
     std::string name_;
     ExprRef a_, b_, c_;
 };

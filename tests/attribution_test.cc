@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "chef/engine.h"
+#include "lowlevel/symvalue.h"
 #include "service/job.h"
 #include "shard/coordinator.h"
 #include "support/json.h"
@@ -255,6 +257,45 @@ TEST(Attribution, IdempotentRedeliveryUnderReplaceByLatest)
     EXPECT_EQ(twice.workloads.at("w").at(0x20).steps, 4u);
 }
 
+// An infeasible fork is charged to the location that forked it, and the
+// column merges and counts like every other counter.
+TEST(Attribution, InfeasibleStatesChargeTheirForkLocation)
+{
+    AttributionProfiler profiler("w");
+    Engine::Options options;
+    options.max_runs = 50;
+    options.collect_timeline = false;
+    options.obs.attribution = &profiler;
+    Engine engine(options);
+    engine.Explore([](lowlevel::LowLevelRuntime& rt) {
+        const lowlevel::SymValue x = rt.MakeSymbolicValue("x", 8, 0);
+        rt.LogPc(0x20, 1);
+        if (rt.Branch(lowlevel::SvUgt(x, lowlevel::SymValue(10, 8)),
+                      CHEF_LLPC)) {
+            rt.LogPc(0x30, 1);
+            // Infeasible under x > 10, but only given that prefix.
+            rt.Branch(lowlevel::SvUlt(x, lowlevel::SymValue(5, 8)),
+                      CHEF_LLPC);
+        }
+        return Engine::GuestOutcome{};
+    });
+    ASSERT_EQ(engine.stats().infeasible_states, 1u);
+    const AttributionSnapshot snapshot = profiler.Snapshot();
+    const std::map<uint64_t, AttributionRow>& table =
+        snapshot.workloads.at("w");
+    EXPECT_EQ(table.at(0x30).infeasible, 1u);
+    EXPECT_EQ(table.at(0x30).forks, 1u);
+    EXPECT_EQ(table.at(0x20).infeasible, 0u);
+
+    AttributionSnapshot merged = snapshot;
+    merged.MergeFrom(snapshot);
+    EXPECT_EQ(merged.workloads.at("w").at(0x30).infeasible, 2u);
+    EXPECT_FALSE(AttributionCountsEqual(merged, snapshot));
+    AttributionSnapshot other_column = snapshot;
+    other_column.workloads.at("w").at(0x30).infeasible = 0;
+    EXPECT_FALSE(AttributionCountsEqual(other_column, snapshot));
+}
+
 // --------------------------------------------------------------------------
 // Serialization.
 
@@ -266,6 +307,7 @@ TEST(Attribution, JsonRoundTripPreservesEveryColumn)
     profiler.Charge(0x10, AttributionProfiler::kSolverNanos, 5'000'000);
     profiler.ChargeWithParent(0x20, 0x10,
                               AttributionProfiler::kNewFingerprints);
+    profiler.Charge(0x20, AttributionProfiler::kInfeasible, 3);
     const AttributionSnapshot snapshot = profiler.Snapshot();
 
     JsonWriter json;
@@ -283,6 +325,7 @@ TEST(Attribution, JsonRoundTripPreservesEveryColumn)
     EXPECT_EQ(decoded.workloads.at("py/argparse").at(0x10).solver_nanos,
               5'000'000u);
     EXPECT_EQ(decoded.workloads.at("py/argparse").at(0x20).parent, 0x10u);
+    EXPECT_EQ(decoded.workloads.at("py/argparse").at(0x20).infeasible, 3u);
 }
 
 TEST(Attribution, DecodeIgnoresUnknownKeysAndRejectsMalformedTables)

@@ -230,6 +230,23 @@ TEST(MemOps, ResolveIndexForksOverCandidates)
     EXPECT_EQ(stats.ll_paths, 4u);
 }
 
+TEST(MemOps, ResolveIndexForksOnlyInsideTheIndexInterval)
+{
+    lowlevel::ExecutionTree tree;
+    solver::Solver solver;
+    LowLevelRuntime rt(&tree, &solver, {});
+    rt.BeginRun(solver::Assignment());
+    // index = zext(b) + 4 with b = 2: candidates 0..3 lie below the
+    // interval [4, 259] and are decided without a fork; 4 and 5 fork the
+    // taken-equal direction, 6 forks the not-equal one.
+    const SymValue byte = rt.MakeSymbolicValue("b", 8, 2);
+    const SymValue index = SvAdd(SvZExt(byte, 64), SymValue(4, 64));
+    EXPECT_EQ(ResolveIndex(&rt, index, 8), 6u);
+    const lowlevel::RunStats stats = rt.EndRun();
+    EXPECT_EQ(stats.symbolic_branches, 3u);
+    EXPECT_EQ(stats.registered_states, 3u);
+}
+
 TEST(MemOps, ResolveBucketConcreteHashNoForks)
 {
     lowlevel::ExecutionTree tree;
@@ -293,6 +310,25 @@ TEST(IntOps, NormalizeBignumForksPerDigitBoundary)
         rt.LogPc(2, 2);
     });
     EXPECT_EQ(stats.ll_paths, 5u);
+}
+
+TEST(IntOps, NormalizeBignumOnSmallSumForksNothing)
+{
+    lowlevel::ExecutionTree tree;
+    solver::Solver solver;
+    LowLevelRuntime rt(&tree, &solver, {});
+    rt.BeginRun(solver::Assignment());
+    // A sum of two zero-extended bytes is non-negative and below one
+    // 15-bit digit, so neither the sign test nor the digit loop forks.
+    const SymValue a = rt.MakeSymbolicValue("a", 8, 200);
+    const SymValue b = rt.MakeSymbolicValue("b", 8, 100);
+    const SymValue sum = SvAdd(SvZExt(a, 64), SvZExt(b, 64));
+    ASSERT_TRUE(sum.IsSymbolic());
+    EXPECT_EQ(NormalizeBignum(&rt, sum), 1);
+    EXPECT_TRUE(tree.pending().empty());
+    const lowlevel::RunStats stats = rt.EndRun();
+    EXPECT_EQ(stats.symbolic_branches, 0u);
+    EXPECT_EQ(stats.registered_states, 0u);
 }
 
 TEST(IntOps, SmallIntCacheForksOnlyWhenVanilla)

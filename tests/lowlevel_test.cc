@@ -225,6 +225,22 @@ TEST_F(RuntimeFixture, SymbolicBranchForksAndFollowsConcrete)
     EXPECT_EQ(stats.registered_states, 1u);
 }
 
+TEST_F(RuntimeFixture, IntervalDecidedBranchDoesNotFork)
+{
+    runtime_.BeginRun(Assignment());
+    const SymValue byte = runtime_.MakeSymbolicValue("b", 8, 3);
+    // 4 + zext(b) + 2 lies in [6, 261]: never negative, whatever b is.
+    const SymValue sum = SvAdd(SvAdd(SymValue(4, 64), SvZExt(byte, 64)),
+                               SymValue(2, 64));
+    ASSERT_TRUE(sum.IsSymbolic());
+    EXPECT_FALSE(runtime_.Branch(SvSlt(sum, SymValue(0, 64)), 1234));
+    EXPECT_TRUE(runtime_.Branch(SvUlt(sum, SymValue(262, 64)), 1235));
+    EXPECT_TRUE(tree_.pending().empty());
+    const RunStats stats = runtime_.EndRun();
+    EXPECT_EQ(stats.symbolic_branches, 0u);
+    EXPECT_EQ(stats.registered_states, 0u);
+}
+
 TEST_F(RuntimeFixture, AssumeViolationAbortsPath)
 {
     runtime_.BeginRun(Assignment());
