@@ -30,11 +30,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "lowlevel/exec_tree.h"
 #include "lowlevel/symvalue.h"
 #include "solver/solver.h"
+#include "support/strings.h"
 
 namespace chef::lowlevel {
 
@@ -83,11 +85,33 @@ struct VarDecl {
     uint64_t default_value = 0;
 };
 
-/// Computes a stable low-level PC from a source location. Interpreters tag
-/// each guest-data-dependent branch site with CHEF_LLPC.
-uint64_t LlpcFromLocation(const char* file, int line);
+/// Computes a stable low-level PC from a source location. Only the file's
+/// name and its parent directory are hashed ("minilua/lua_interp.cc" for
+/// any path ending in src/minilua/lua_interp.cc), so one commit explores
+/// the same way wherever it is checked out.
+constexpr uint64_t
+LlpcFromLocation(const char* file, int line)
+{
+    const char* tail = file;  // After the second-to-last '/'.
+    const char* base = file;  // After the last '/'.
+    for (const char* p = file; *p != '\0'; ++p) {
+        if (*p == '/') {
+            tail = base;
+            base = p + 1;
+        }
+    }
+    uint64_t h = kFnvOffsetBasis;
+    for (const char* p = tail; *p != '\0'; ++p) {
+        h = (h ^ static_cast<uint8_t>(*p)) * kFnvPrime;
+    }
+    return HashCombine(h, static_cast<uint64_t>(line));
+}
 
-#define CHEF_LLPC (::chef::lowlevel::LlpcFromLocation(__FILE__, __LINE__))
+/// Interpreters tag each guest-data-dependent branch site with CHEF_LLPC;
+/// its value is a compile-time constant.
+#define CHEF_LLPC                                                        \
+    (std::integral_constant<uint64_t, ::chef::lowlevel::LlpcFromLocation( \
+                                          __FILE__, __LINE__)>::value)
 
 /// Guest-facing concolic runtime; one instance per symbolic test session
 /// (or per exploration worker of a parallel session).

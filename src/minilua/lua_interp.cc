@@ -230,7 +230,7 @@ LuaInterp::LuaInterp(lowlevel::LowLevelRuntime* rt,
     g["pcall"] = LuaValue::Builtin(kBPcall);
     g["assert"] = LuaValue::Builtin(kBAssert);
 
-    auto string_lib = std::make_shared<LuaTable>();
+    auto string_lib = NewTable();
     auto add_lib_fn = [this](std::shared_ptr<LuaTable>& lib,
                              const char* name, int id) {
         lib->Set(*this, LuaValue::StrC(name), LuaValue::Builtin(id));
@@ -245,11 +245,45 @@ LuaInterp::LuaInterp(lowlevel::LowLevelRuntime* rt,
     add_lib_fn(string_lib, "upper", kBStrUpper);
     g["string"] = LuaValue::Table(string_lib);
 
-    auto table_lib = std::make_shared<LuaTable>();
+    auto table_lib = NewTable();
     add_lib_fn(table_lib, "insert", kBTblInsert);
     add_lib_fn(table_lib, "remove", kBTblRemove);
     add_lib_fn(table_lib, "concat", kBTblConcat);
     g["table"] = LuaValue::Table(table_lib);
+}
+
+LuaInterp::~LuaInterp()
+{
+    // Every cycle passes through a closure or a table, so cutting both
+    // frees the whole graph once the last outside reference goes.
+    for (const std::weak_ptr<LuaFunction>& weak : functions_) {
+        if (std::shared_ptr<LuaFunction> function = weak.lock()) {
+            function->closure.reset();
+        }
+    }
+    for (const std::weak_ptr<LuaTable>& weak : tables_) {
+        if (std::shared_ptr<LuaTable> table = weak.lock()) {
+            *table = LuaTable();
+        }
+    }
+}
+
+std::shared_ptr<LuaTable>
+LuaInterp::NewTable()
+{
+    auto table = std::make_shared<LuaTable>();
+    table->serial = static_cast<uint32_t>(tables_.size());
+    tables_.push_back(table);
+    return table;
+}
+
+std::shared_ptr<LuaFunction>
+LuaInterp::NewFunction()
+{
+    auto function = std::make_shared<LuaFunction>();
+    function->serial = static_cast<uint32_t>(functions_.size());
+    functions_.push_back(function);
+    return function;
 }
 
 void
@@ -318,22 +352,29 @@ LuaInterp::ValueEq(const LuaValue& a, const LuaValue& b)
 SymValue
 LuaInterp::HashKey(const LuaValue& key)
 {
-    switch (key.type) {
-      case LuaValue::Type::kInt:
-        if (options_.build.neutralize_hashes) {
-            return SymValue(0, 64);
-        }
-        return key.num;
-      case LuaValue::Type::kStr:
-        return str_ops_.Hash(*key.str);
-      case LuaValue::Type::kBool:
-        return SvZExt(key.num, 64);
-      case LuaValue::Type::kNil:
+    if (key.type == LuaValue::Type::kNil) {
         Error("table index is nil");
         return SymValue(0, 64);
+    }
+    if (key.type == LuaValue::Type::kStr) {
+        return str_ops_.Hash(*key.str);
+    }
+    if (options_.build.neutralize_hashes) {
+        return SymValue(0, 64);
+    }
+    switch (key.type) {
+      case LuaValue::Type::kInt:
+        return key.num;
+      case LuaValue::Type::kBool:
+        return SvZExt(key.num, 64);
+      case LuaValue::Type::kTable:
+        return SymValue(key.table->serial, 64);
+      case LuaValue::Type::kFunction:
+        return SymValue(key.function->serial, 64);
+      case LuaValue::Type::kBuiltin:
+        return SymValue(static_cast<uint64_t>(key.builtin_id), 64);
       default:
-        return SymValue(
-            reinterpret_cast<uintptr_t>(key.table.get()) >> 4, 64);
+        return SymValue(0, 64);
     }
 }
 
@@ -784,7 +825,7 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
         return values.empty() ? LuaValue::Nil() : std::move(values[0]);
       }
       case LuaAstKind::kFunction: {
-        auto function = std::make_shared<LuaFunction>();
+        auto function = NewFunction();
         function->params = expr.strings;
         function->body = expr.kids[0].get();
         function->closure = env;
@@ -829,7 +870,7 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
       }
       case LuaAstKind::kTable: {
         LogNode(expr);
-        auto table = std::make_shared<LuaTable>();
+        auto table = NewTable();
         for (size_t i = 0; i + 1 < expr.kids.size(); i += 2) {
             const LuaAst* key_node = expr.kids[i].get();
             LuaValue value = EvalExpr(*expr.kids[i + 1], env);

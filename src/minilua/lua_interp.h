@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "interp/build_options.h"
 #include "interp/int_ops.h"
@@ -45,6 +46,15 @@ class LuaInterp
     LuaInterp(lowlevel::LowLevelRuntime* rt,
               std::shared_ptr<LuaChunk> chunk, Options options);
 
+    /// Frees the object graph the run built: drops every closure's
+    /// captured environment and empties every table this interpreter
+    /// created, which breaks all reference cycles among them. A table
+    /// or function that outlives the interpreter loses its contents.
+    ~LuaInterp();
+
+    LuaInterp(const LuaInterp&) = delete;
+    LuaInterp& operator=(const LuaInterp&) = delete;
+
     /// Runs the chunk body in the global environment.
     LuaOutcome RunChunk();
 
@@ -68,7 +78,9 @@ class LuaInterp
     /// Lua equality as a width-1 concolic value.
     SymValue ValueEq(const LuaValue& a, const LuaValue& b);
 
-    /// Hash for table keys (neutralization-aware).
+    /// Hash for table keys (neutralization-aware). Neutralized builds
+    /// hash every non-string key to 0; vanilla builds hash tables and
+    /// functions by creation index, never by address.
     SymValue HashKey(const LuaValue& key);
 
     /// Truthiness: nil and false are false, everything else true.
@@ -119,11 +131,20 @@ class LuaInterp
 
     void LogNode(const LuaAst& node);
 
+    /// Creates a table or closure and records it for ~LuaInterp.
+    std::shared_ptr<LuaTable> NewTable();
+    std::shared_ptr<LuaFunction> NewFunction();
+
     lowlevel::LowLevelRuntime* rt_;
     std::shared_ptr<LuaChunk> chunk_;
     Options options_;
     interp::StrOps str_ops_;
     interp::InternTable interns_;
+
+    /// Every table and closure this interpreter created, in creation
+    /// order (the index is the object's serial).
+    std::vector<std::weak_ptr<LuaTable>> tables_;
+    std::vector<std::weak_ptr<LuaFunction>> functions_;
 
     LuaEnvPtr globals_;
     std::vector<LuaValue> return_values_;

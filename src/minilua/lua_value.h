@@ -67,7 +67,10 @@ const char* LuaTypeName(LuaValue::Type type);
 struct LuaAst;
 
 /// Lexical environment: a scope chain of concrete-name bindings (closures
-/// capture their defining environment).
+/// capture their defining environment). A function stored in the
+/// environment it captures, or a table that reaches itself, is a
+/// reference cycle; the LuaInterp that created them breaks every such
+/// cycle when it is destroyed.
 struct LuaEnv {
     std::unordered_map<std::string, LuaValue> vars;
     std::shared_ptr<LuaEnv> parent;
@@ -93,6 +96,8 @@ struct LuaFunction {
     const LuaAst* body = nullptr;  ///< kBlock.
     LuaEnvPtr closure;
     std::string name;  ///< For diagnostics.
+    /// Creation index in the owning interpreter (an address-free hash key).
+    uint32_t serial = 0;
 };
 
 /// Snapshot iterator produced by pairs()/ipairs().
@@ -115,6 +120,9 @@ struct LuaTable {
     std::vector<std::vector<uint32_t>> buckets{
         std::vector<std::vector<uint32_t>>(8)};
     size_t live_count = 0;
+
+    /// Creation index in the owning interpreter (an address-free hash key).
+    uint32_t serial = 0;
 
     /// Raw get/set run through the interpreter for instrumented hashing
     /// and key comparison; declared here, implemented with the interp.

@@ -86,7 +86,7 @@ FnvHash(const void* data, size_t size, uint64_t seed)
     uint64_t h = seed;
     for (size_t i = 0; i < size; ++i) {
         h ^= p[i];
-        h *= 0x100000001b3ull;
+        h *= kFnvPrime;
     }
     return h;
 }

@@ -31,11 +31,15 @@ bool EndsWith(const std::string& text, const std::string& suffix);
 /// reports), e.g. bytes {0x41, 0x00} become "A\x00".
 std::string EscapeBytes(const std::vector<uint8_t>& bytes);
 
+/// FNV-1a parameters (64-bit).
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
 /// FNV-1a hash of a byte range; used for structural hashing.
-uint64_t FnvHash(const void* data, size_t size, uint64_t seed = 0xcbf29ce484222325ull);
+uint64_t FnvHash(const void* data, size_t size, uint64_t seed = kFnvOffsetBasis);
 
 /// Combines two hash values (boost-style).
-inline uint64_t
+constexpr uint64_t
 HashCombine(uint64_t a, uint64_t b)
 {
     return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));

@@ -332,5 +332,22 @@ TEST_F(RuntimeFixture, LlpcFromLocationIsStable)
     EXPECT_NE(a, d);
 }
 
+TEST(Llpc, IndependentOfTheCheckoutDirectory)
+{
+    const uint64_t here =
+        LlpcFromLocation("/home/alice/chef/src/minilua/lua_interp.cc", 453);
+    EXPECT_EQ(here,
+              LlpcFromLocation("/tmp/build-2/src/minilua/lua_interp.cc", 453));
+    EXPECT_EQ(here, LlpcFromLocation("minilua/lua_interp.cc", 453));
+    EXPECT_NE(here,
+              LlpcFromLocation("/home/alice/chef/src/minipy/lua_interp.cc", 453));
+}
+
+TEST(Llpc, TagIsACompileTimeConstant)
+{
+    constexpr uint64_t kTag = CHEF_LLPC;
+    EXPECT_EQ(kTag, LlpcFromLocation("tests/lowlevel_test.cc", __LINE__ - 1));
+}
+
 }  // namespace
 }  // namespace chef::lowlevel

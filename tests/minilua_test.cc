@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+
 #include "chef/engine.h"
 #include "minilua/lua_interp.h"
 
@@ -253,6 +256,130 @@ local parts = split('a,b,c', ',')
 print(#parts, parts[1], parts[3])
 )";
     EXPECT_EQ(Out(program), "3\ta\tc\n");
+}
+
+// ---------------------------------------------------------------------------
+// Ownership: an interpreter frees the object graph its run built.
+// ---------------------------------------------------------------------------
+
+/// One concrete interpreter over \p source after RunChunk.
+struct LoadedLua {
+    LoadedLua(const std::string& source, interp::InterpBuildOptions build)
+        : rt(&tree, &solver, {})
+    {
+        rt.BeginRun(solver::Assignment());
+        LuaParseResult parsed = LuaParse(source);
+        EXPECT_TRUE(parsed.ok) << parsed.error;
+        LuaInterp::Options options;
+        options.build = build;
+        interp = std::make_unique<LuaInterp>(&rt, parsed.chunk, options);
+        EXPECT_TRUE(interp->RunChunk().ok);
+    }
+
+    /// The first value the guest's global get() returns.
+    LuaValue Get()
+    {
+        LuaValue result;
+        EXPECT_TRUE(interp->CallGlobal("get", {}, &result).ok);
+        return result;
+    }
+
+    lowlevel::ExecutionTree tree;
+    solver::Solver solver;
+    lowlevel::LowLevelRuntime rt;
+    std::unique_ptr<LuaInterp> interp;
+};
+
+/// The value get() returns, read after its interpreter was destroyed.
+LuaValue
+GetAfterRun(const std::string& source)
+{
+    LoadedLua lua(source, interp::InterpBuildOptions::FullyOptimized());
+    return lua.Get();
+}
+
+TEST(MiniLuaOwnership, ClosureStoredInItsOwnScopeIsFreed)
+{
+    LuaValue f = GetAfterRun(
+        "local function f() return f end\n"
+        "function get() return f end\n");
+    ASSERT_EQ(f.type, LuaValue::Type::kFunction);
+    const std::weak_ptr<LuaFunction> weak = f.function;
+    f = LuaValue::Nil();
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(MiniLuaOwnership, SelfReferencingTableIsFreed)
+{
+    LuaValue t = GetAfterRun(
+        "local t = {}\n"
+        "t.self = t\n"
+        "function get() return t end\n");
+    ASSERT_EQ(t.type, LuaValue::Type::kTable);
+    const std::weak_ptr<LuaTable> weak = t.table;
+    t = LuaValue::Nil();
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(MiniLuaOwnership, TableReachingItselfThroughAClosureIsFreed)
+{
+    LuaValue t = GetAfterRun(
+        "local t = {}\n"
+        "t.f = function() return t end\n"
+        "function get() return t end\n");
+    ASSERT_EQ(t.type, LuaValue::Type::kTable);
+    const std::weak_ptr<LuaTable> weak = t.table;
+    t = LuaValue::Nil();
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(MiniLuaHashKeys, VanillaHashesObjectsByCreationIndex)
+{
+    const std::string source =
+        "local keys = {{}, {}, function() end, function() end, print}\n"
+        "function get() return keys end\n";
+    // Both interpreters are alive at once, so their objects have
+    // different addresses.
+    LoadedLua first(source, interp::InterpBuildOptions::Vanilla());
+    LoadedLua second(source, interp::InterpBuildOptions::Vanilla());
+    const LuaValue keys = first.Get();
+    const LuaValue same_keys = second.Get();
+    ASSERT_EQ(keys.type, LuaValue::Type::kTable);
+    ASSERT_EQ(keys.table->array.size(), 5u);
+    std::set<uint64_t> hashes;
+    for (size_t i = 0; i < keys.table->array.size(); ++i) {
+        const SymValue hash = first.interp->HashKey(keys.table->array[i]);
+        EXPECT_FALSE(hash.IsSymbolic());
+        EXPECT_EQ(hash.concrete(),
+                  second.interp->HashKey(same_keys.table->array[i])
+                      .concrete())
+            << "key " << i;
+        if (i < 4) {
+            hashes.insert(hash.concrete());
+        }
+    }
+    // Two tables and two closures hash apart.
+    EXPECT_EQ(hashes.size(), 4u);
+    EXPECT_EQ(first.interp->HashKey(keys.table->array[0]).concrete(),
+              keys.table->array[0].table->serial);
+    EXPECT_EQ(first.interp->HashKey(keys.table->array[2]).concrete(),
+              keys.table->array[2].function->serial);
+}
+
+TEST(MiniLuaHashKeys, NeutralizedHashesEveryNonStringKeyToZero)
+{
+    LoadedLua lua(
+        "local keys = {{}, function() end, print, true, 7}\n"
+        "function get() return keys end\n",
+        interp::InterpBuildOptions::FullyOptimized());
+    const LuaValue keys = lua.Get();
+    ASSERT_EQ(keys.type, LuaValue::Type::kTable);
+    ASSERT_EQ(keys.table->array.size(), 5u);
+    for (size_t i = 0; i < keys.table->array.size(); ++i) {
+        const SymValue hash = lua.interp->HashKey(keys.table->array[i]);
+        EXPECT_FALSE(hash.IsSymbolic()) << "key " << i;
+        EXPECT_EQ(hash.concrete(), 0u) << "key " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------
